@@ -8,16 +8,15 @@ test:
 	cargo test --workspace
 
 # Simulator-throughput benchmark: writes BENCH_core.json at the repo root
-# with simulated cycles/sec for four workloads in both step modes next to
-# the recorded seed baseline (see EXPERIMENTS.md "Performance").
+# with simulated cycles/sec for five workloads, the share of cycles each
+# spent in slow steps, superblock bursts and event skips, and the
+# recorded seed baseline (see EXPERIMENTS.md "Performance").
 bench:
 	cargo run --release -p disc-bench --bin bench_core
 
 # Perf-regression gate: quick re-measure of every workload (median of 3
 # reps, so one noisy rep cannot fake a regression), exit 1 if any rate
-# drops >25% below the committed BENCH_core.json baseline.
-# DISC_DISPATCH=legacy|superblock selects which dispatcher is measured
-# and which baseline column gates it (default: superblock). CI runs both
+# drops >25% below the committed BENCH_core.json baseline. CI runs it
 # after the bench smoke step.
 bench-check:
 	DISC_BENCH_REPS=3 cargo run --release -p disc-bench --bin bench_core -- --check
@@ -44,8 +43,7 @@ bench-micro:
 # symbols) and runs it under whichever sampling profiler the machine has
 # (perf, then gprofng), falling back to a plain timed run when neither is
 # installed. `make profile WORKLOAD=branch CYCLES=20000000` selects the
-# workload (compute|branch|io|irq) and cycle count;
-# DISC_DISPATCH=legacy profiles the legacy dispatcher instead.
+# workload (compute|branch|io|irq) and cycle count.
 WORKLOAD ?= compute
 CYCLES ?= 50000000
 profile:
@@ -118,7 +116,7 @@ fuzz:
 fuzz-long:
 	cargo run --release -p disc-bench --bin fuzz -- --seed 0 --count 100000
 
-# Structured run reports (schema disc-run-report/v3) under results/:
+# Structured run reports (schema disc-run-report/v4) under results/:
 # the quick reproduction pass, a short soak campaign, and the
 # observability demo. CI schema-checks every results/*.report.json and
 # uploads them as workflow artifacts.

@@ -3,19 +3,15 @@
 //! representative workloads (compute-bound, branch-heavy, I/O-bound,
 //! interrupt-heavy, and a quiescence-heavy timer idle loop).
 //!
-//! Every workload is timed in both [`StepMode`]s *and* both
-//! [`DispatchMode`]s, so `BENCH_core.json` records what event skipping
-//! buys (`skip_speedup`) and what the superblock dispatcher buys
-//! (`dispatch_speedup`, the default rate over `legacy_sim_cycles_per_sec`)
-//! next to the recorded seed-commit baseline. Pass `--smoke` for a fast
-//! schema-only run (used by CI); smoke rates are not comparable to the
-//! full run, so the baseline fields are `null` there. Pass `--check` to
-//! re-measure and fail (exit 1) if any workload's cycle-by-cycle rate
-//! drops more than 25% below the committed `BENCH_core.json` baseline
-//! (override the path with `--baseline <path>`); that is the CI
-//! perf-regression gate. The check honors `DISC_DISPATCH=superblock` /
-//! `DISC_DISPATCH=legacy`, timing that dispatcher and comparing it
-//! against the matching baseline column, so CI gates both modes.
+//! Every workload reports one rate through [`Machine::run`], next to the
+//! share of its cycles that went through each execution path — slow
+//! per-cycle steps, superblock bursts and event skips — and the recorded
+//! seed-commit baseline. Pass `--smoke` for a fast schema-only run (used
+//! by CI); smoke rates are not comparable to the full run, so the
+//! baseline fields are `null` there. Pass `--check` to re-measure and
+//! fail (exit 1) if any workload's rate drops more than 25% below the
+//! committed `BENCH_core.json` baseline (override the path with
+//! `--baseline <path>`); that is the CI perf-regression gate.
 //!
 //! `DISC_BENCH_REPS` and `DISC_BENCH_CYCLES` override the repetition
 //! count and the simulated cycles per repetition (`make bench-check`
@@ -29,7 +25,7 @@ use disc_bench::workloads::{
     interrupt_heavy_3s_config, io_bound_2s_config, io_program, irq_program, timer_idle_1s_config,
     timer_idle_bus, timer_program,
 };
-use disc_core::{DispatchMode, Machine, MachineConfig, StepMode};
+use disc_core::Machine;
 
 /// Simulated cycles per timed repetition (full mode).
 const FULL_CYCLES: u64 = 2_000_000;
@@ -60,16 +56,16 @@ struct Measurement {
     description: &'static str,
     sim_cycles: u64,
     wall_ns: u128,
-    /// Median wall time of the same workload under [`StepMode::EventSkip`].
-    skip_wall_ns: u128,
-    /// Median wall time under [`DispatchMode::Legacy`] (cycle-by-cycle).
-    legacy_wall_ns: u128,
+    /// Cycles covered by superblock bursts in one run.
+    burst_cycles: u64,
+    /// Cycles covered by event skips in one run.
+    skipped_cycles: u64,
 }
 
 /// Simulated cycles per wall second. The duration is clamped to 1ns: a
 /// degenerate zero-length timing (clock granularity on a tiny smoke run)
-/// would otherwise produce `inf`/`NaN` rates that cascade into every
-/// derived speedup column and render as `null` in `BENCH_core.json`.
+/// would otherwise produce `inf`/`NaN` rates that render as `null` in
+/// `BENCH_core.json`.
 fn per_second(sim_cycles: u64, wall_ns: u128) -> f64 {
     sim_cycles as f64 / (wall_ns.max(1) as f64 / 1e9)
 }
@@ -79,159 +75,101 @@ impl Measurement {
         per_second(self.sim_cycles, self.wall_ns)
     }
 
-    fn skip_rate(&self) -> f64 {
-        per_second(self.sim_cycles, self.skip_wall_ns)
+    /// Shares of the simulated cycles spent in slow steps, bursts and
+    /// skips; they sum to 1.
+    fn path_shares(&self) -> [f64; 3] {
+        let total = self.sim_cycles.max(1) as f64;
+        let slow = self.sim_cycles - self.burst_cycles - self.skipped_cycles;
+        [slow, self.burst_cycles, self.skipped_cycles].map(|c| c as f64 / total)
     }
-
-    fn legacy_rate(&self) -> f64 {
-        per_second(self.sim_cycles, self.legacy_wall_ns)
-    }
 }
 
-/// What a benchmark pass measures: the gated dispatcher only (`--check`)
-/// or every step/dispatch mode combination (full and smoke runs).
-#[derive(Clone, Copy)]
-struct Plan {
-    /// Dispatch mode for the primary (cycle-by-cycle) timing.
-    dispatch: DispatchMode,
-    /// Also time event-skip and legacy-dispatch passes.
-    all_modes: bool,
-}
-
-/// Times `run` (which must simulate exactly `sim_cycles` cycles in the
-/// given modes) over one warmup plus `reps` timed repetitions and keeps
-/// the median.
-fn median_ns(
-    sim_cycles: u64,
-    reps: usize,
-    mode: StepMode,
-    dispatch: DispatchMode,
-    run: &impl Fn(u64, StepMode, DispatchMode),
-) -> u128 {
-    run(sim_cycles, mode, dispatch); // warmup
-    let mut times: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            run(sim_cycles, mode, dispatch);
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
+/// Times `run` (which must simulate exactly `sim_cycles` cycles and hand
+/// back the machine) over one warmup plus `reps` timed repetitions and
+/// keeps the median; the path shares come from the warmup run.
 fn measure(
     name: &'static str,
     description: &'static str,
     sim_cycles: u64,
     reps: usize,
-    plan: Plan,
-    run: impl Fn(u64, StepMode, DispatchMode),
+    run: impl Fn(u64) -> Machine,
 ) -> Measurement {
-    let wall_ns = median_ns(
-        sim_cycles,
-        reps,
-        StepMode::CycleByCycle,
-        plan.dispatch,
-        &run,
-    );
-    let (skip_wall_ns, legacy_wall_ns) = if plan.all_modes {
-        (
-            median_ns(sim_cycles, reps, StepMode::EventSkip, plan.dispatch, &run),
-            median_ns(
-                sim_cycles,
-                reps,
-                StepMode::CycleByCycle,
-                DispatchMode::Legacy,
-                &run,
-            ),
-        )
-    } else {
-        (wall_ns, wall_ns)
-    };
+    let warm = run(sim_cycles); // warmup
+    assert_eq!(warm.stats().cycles, sim_cycles, "{name}: short run");
+    let mut times: Vec<u128> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            let m = run(sim_cycles);
+            let ns = t0.elapsed().as_nanos();
+            std::hint::black_box(m.stats().retired_total());
+            ns
+        })
+        .collect();
+    times.sort_unstable();
     Measurement {
         name,
         description,
         sim_cycles,
-        wall_ns,
-        skip_wall_ns,
-        legacy_wall_ns,
+        wall_ns: times[times.len() / 2],
+        burst_cycles: warm.superblock_stats().burst_cycles,
+        skipped_cycles: warm.skip_stats().cycles_skipped,
     }
 }
 
-fn bench_compute(cycles: u64, reps: usize, plan: Plan) -> Measurement {
+fn bench_compute(cycles: u64, reps: usize) -> Measurement {
     let program = compute_program(4);
     measure(
         "compute_bound_4s",
         "4 streams of register arithmetic, no external bus traffic",
         cycles,
         reps,
-        plan,
-        |n, mode, dispatch| {
-            let config = compute_bound_4s_config()
-                .with_step_mode(mode)
-                .with_dispatch_mode(dispatch);
-            let mut m = Machine::new(config, &program);
+        |n| {
+            let mut m = Machine::new(compute_bound_4s_config(), &program);
             m.run(n).expect("compute run");
-            assert_eq!(m.stats().cycles, n);
-            std::hint::black_box(m.stats().retired_total());
+            m
         },
     )
 }
 
-fn bench_branch(cycles: u64, reps: usize, plan: Plan) -> Measurement {
+fn bench_branch(cycles: u64, reps: usize) -> Measurement {
     let program = branch_program(4);
     measure(
         "branch_heavy_4s",
         "4 streams in tight count-to-4 loops, a taken branch every few ops",
         cycles,
         reps,
-        plan,
-        |n, mode, dispatch| {
-            let config = branch_heavy_4s_config()
-                .with_step_mode(mode)
-                .with_dispatch_mode(dispatch);
-            let mut m = Machine::new(config, &program);
+        |n| {
+            let mut m = Machine::new(branch_heavy_4s_config(), &program);
             m.run(n).expect("branch run");
-            assert_eq!(m.stats().cycles, n);
-            std::hint::black_box(m.stats().retired_total());
+            m
         },
     )
 }
 
-fn bench_io(cycles: u64, reps: usize, plan: Plan) -> Measurement {
+fn bench_io(cycles: u64, reps: usize) -> Measurement {
     let program = io_program();
     measure(
         "io_bound_2s",
         "1 stream hammering external loads/stores + 1 compute stream",
         cycles,
         reps,
-        plan,
-        |n, mode, dispatch| {
-            let config = io_bound_2s_config()
-                .with_step_mode(mode)
-                .with_dispatch_mode(dispatch);
-            let mut m = Machine::new(config, &program);
+        |n| {
+            let mut m = Machine::new(io_bound_2s_config(), &program);
             m.run(n).expect("io run");
-            assert_eq!(m.stats().cycles, n);
-            std::hint::black_box(m.stats().external_accesses);
+            m
         },
     )
 }
 
-fn bench_irq(cycles: u64, reps: usize, plan: Plan) -> Measurement {
+fn bench_irq(cycles: u64, reps: usize) -> Measurement {
     let program = irq_program(3);
     measure(
         "interrupt_heavy_3s",
         "3 busy streams + dormant server stream, interrupt raised every 50 cycles",
         cycles,
         reps,
-        plan,
-        |n, mode, dispatch| {
-            let config = interrupt_heavy_3s_config()
-                .with_step_mode(mode)
-                .with_dispatch_mode(dispatch);
-            let mut m = Machine::new(config, &program);
+        |n| {
+            let mut m = Machine::new(interrupt_heavy_3s_config(), &program);
             m.set_idle_exit(false);
             let mut c = 0;
             while c < n {
@@ -240,80 +178,26 @@ fn bench_irq(cycles: u64, reps: usize, plan: Plan) -> Measurement {
                 m.run(chunk).expect("irq run");
                 c += chunk;
             }
-            assert_eq!(m.stats().cycles, n);
-            std::hint::black_box(m.stats().vectors_taken[3]);
+            m
         },
     )
 }
 
-fn bench_timer_idle(cycles: u64, reps: usize, plan: Plan) -> Measurement {
+fn bench_timer_idle(cycles: u64, reps: usize) -> Measurement {
     let program = timer_program();
     measure(
         "timer_idle_1s",
         "1 parked stream woken by a periodic timer every 1000 cycles (quiescence-heavy)",
         cycles,
         reps,
-        plan,
-        |n, mode, dispatch| {
-            let config = timer_idle_1s_config()
-                .with_step_mode(mode)
-                .with_dispatch_mode(dispatch);
-            let mut m = Machine::with_bus(config, &program, Box::new(timer_idle_bus()));
+        |n| {
+            let mut m =
+                Machine::with_bus(timer_idle_1s_config(), &program, Box::new(timer_idle_bus()));
             m.set_idle_exit(false);
             m.run(n).expect("timer run");
-            assert_eq!(m.stats().cycles, n);
-            std::hint::black_box(m.stats().vectors_taken[0]);
+            m
         },
     )
-}
-
-/// Measures what fork-based mode coverage saves: covering all four
-/// step × dispatch mode combinations of a `warm + tail` workload by full
-/// re-execution versus snapshotting the shared warm point once and
-/// forking each combo for the tail only (the `fuzz --fork` strategy).
-/// Returns wall(full) / wall(forked); with the 90/10 split used here the
-/// ideal value is 4·(w+t)/(w+4t+ε) ≈ 3.1×.
-fn fork_fuzz_speedup(cycles: u64) -> f64 {
-    let program = compute_program(4);
-    let warm = cycles * 9 / 10;
-    let tail = cycles - warm;
-    let combos = [
-        (StepMode::CycleByCycle, DispatchMode::Legacy),
-        (StepMode::CycleByCycle, DispatchMode::Superblock),
-        (StepMode::EventSkip, DispatchMode::Legacy),
-        (StepMode::EventSkip, DispatchMode::Superblock),
-    ];
-    let config = |step, dispatch| {
-        MachineConfig::disc1()
-            .with_streams(4)
-            .with_step_mode(step)
-            .with_dispatch_mode(dispatch)
-    };
-
-    let t0 = Instant::now();
-    for (step, dispatch) in combos {
-        let mut m = Machine::new(config(step, dispatch), &program);
-        m.run(warm + tail).expect("full-coverage run");
-        std::hint::black_box(m.stats().retired_total());
-    }
-    let full = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let mut base = Machine::new(
-        config(StepMode::CycleByCycle, DispatchMode::Legacy),
-        &program,
-    );
-    base.run(warm).expect("warm-up run");
-    let snap = base.snapshot();
-    for (step, dispatch) in combos {
-        let mut fork = Machine::new(config(step, dispatch), &program);
-        fork.restore(&snap).expect("fork restores");
-        fork.run(tail).expect("fork tail run");
-        std::hint::black_box(fork.stats().retired_total());
-    }
-    let forked = t0.elapsed().as_secs_f64();
-
-    full / forked
 }
 
 fn seed_rate(name: &str) -> Option<f64> {
@@ -343,57 +227,26 @@ fn env_override(name: &str) -> Option<u64> {
     }
 }
 
-/// One workload's committed baseline rates.
-struct BaselineEntry {
-    name: String,
-    /// Default-dispatch (superblock) cycle-by-cycle rate.
-    rate: f64,
-    /// Legacy-dispatch rate; absent in pre-v3 baselines.
-    legacy_rate: Option<f64>,
-}
-
-/// Extracts the per-workload rates from a committed `BENCH_core.json`.
-/// The file is generated by this binary, so a line-oriented scan of the
-/// stable formatting is sufficient — no JSON parser needed.
-fn parse_baseline(text: &str) -> Vec<BaselineEntry> {
+/// Extracts the per-workload `(name, sim_cycles_per_sec)` rates from a
+/// committed `BENCH_core.json`. The file is generated by this binary, so
+/// a line-oriented scan of the stable formatting is sufficient.
+fn parse_baseline(text: &str) -> Vec<(String, f64)> {
     let field = |line: &str, key: &str| -> Option<String> {
         let rest = line.trim().strip_prefix(&format!("\"{key}\":"))?;
         Some(rest.trim().trim_end_matches(',').trim_matches('"').into())
     };
-    let mut out: Vec<BaselineEntry> = Vec::new();
+    let mut out = Vec::new();
     let mut name: Option<String> = None;
     for line in text.lines() {
         if let Some(v) = field(line, "name") {
             name = Some(v);
         } else if let Some(v) = field(line, "sim_cycles_per_sec") {
             if let (Some(n), Ok(rate)) = (name.take(), v.parse::<f64>()) {
-                out.push(BaselineEntry {
-                    name: n,
-                    rate,
-                    legacy_rate: None,
-                });
-            }
-        } else if let Some(v) = field(line, "legacy_sim_cycles_per_sec") {
-            if let (Some(last), Ok(rate)) = (out.last_mut(), v.parse::<f64>()) {
-                last.legacy_rate = Some(rate);
+                out.push((n, rate));
             }
         }
     }
     out
-}
-
-/// Dispatch mode gated by `--check`, from `DISC_DISPATCH` (defaults to
-/// the superblock dispatcher, which is also the machine default).
-fn dispatch_from_env() -> DispatchMode {
-    match std::env::var("DISC_DISPATCH") {
-        Ok(v) if v == "legacy" => DispatchMode::Legacy,
-        Ok(v) if v == "superblock" => DispatchMode::Superblock,
-        Ok(v) => {
-            eprintln!("bench_core: DISC_DISPATCH={v:?} is not \"superblock\" or \"legacy\"");
-            std::process::exit(2);
-        }
-        Err(_) => DispatchMode::Superblock,
-    }
 }
 
 fn main() {
@@ -422,30 +275,15 @@ fn main() {
             "full"
         }
     );
-    // The check gate compares only cycle-by-cycle rates in the gated
-    // dispatch mode, so skip the other timings there to keep it quick.
-    let plan = Plan {
-        dispatch: if check {
-            dispatch_from_env()
-        } else {
-            DispatchMode::Superblock
-        },
-        all_modes: !check,
-    };
     let runs = [
-        bench_compute(cycles, reps, plan),
-        bench_branch(cycles, reps, plan),
-        bench_io(cycles, reps, plan),
-        bench_irq(cycles, reps, plan),
-        bench_timer_idle(cycles, reps, plan),
+        bench_compute(cycles, reps),
+        bench_branch(cycles, reps),
+        bench_io(cycles, reps),
+        bench_irq(cycles, reps),
+        bench_timer_idle(cycles, reps),
     ];
 
     if check {
-        let legacy = matches!(plan.dispatch, DispatchMode::Legacy);
-        eprintln!(
-            "bench_core: gating {} dispatch",
-            if legacy { "legacy" } else { "superblock" }
-        );
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
         let baseline = parse_baseline(&text);
@@ -456,13 +294,7 @@ fn main() {
         let mut failures: Vec<String> = Vec::new();
         for m in &runs {
             let rate = m.rate();
-            let base = baseline.iter().find(|b| b.name == m.name).and_then(|b| {
-                if legacy {
-                    b.legacy_rate
-                } else {
-                    Some(b.rate)
-                }
-            });
+            let base = baseline.iter().find(|(n, _)| n == m.name).map(|&(_, r)| r);
             let Some(base) = base else {
                 eprintln!(
                     "  {:<22} {rate:>12.0} sim cycles/s  (no baseline, skipped)",
@@ -504,20 +336,18 @@ fn main() {
     let mut entries = Vec::new();
     for m in &runs {
         let rate = m.rate();
-        let skip_rate = m.skip_rate();
-        let legacy_rate = m.legacy_rate();
+        let [slow, burst, skip] = m.path_shares();
         // Smoke runs are too short to compare against the recorded
         // full-mode baseline.
         let seed = if smoke { None } else { seed_rate(m.name) };
         let speedup = seed.map(|s| rate / s);
         eprintln!(
-            "  {:<22} {:>12.0} sim cycles/s  legacy {:>12.0} ({:.2}x)  event-skip {:>12.0} ({:.2}x){}",
+            "  {:<22} {:>12.0} sim cycles/s  slow {:>5.1}%  burst {:>5.1}%  skip {:>5.1}%{}",
             m.name,
             rate,
-            legacy_rate,
-            rate / legacy_rate,
-            skip_rate,
-            skip_rate / rate,
+            slow * 100.0,
+            burst * 100.0,
+            skip * 100.0,
             speedup
                 .map(|s| format!("  ({s:.2}x vs seed)"))
                 .unwrap_or_default()
@@ -526,18 +356,14 @@ fn main() {
             "    {{\n      \"name\": \"{}\",\n      \"description\": \"{}\",\n      \
              \"sim_cycles\": {},\n      \"wall_ns\": {},\n      \
              \"sim_cycles_per_sec\": {},\n      \
-             \"legacy_sim_cycles_per_sec\": {},\n      \"dispatch_speedup\": {},\n      \
-             \"event_skip_sim_cycles_per_sec\": {},\n      \"skip_speedup\": {},\n      \
+             \"slow_step_cycle_frac\": {slow:.4},\n      \"burst_cycle_frac\": {burst:.4},\n      \
+             \"skip_cycle_frac\": {skip:.4},\n      \
              \"seed_sim_cycles_per_sec\": {},\n      \"speedup_vs_seed\": {}\n    }}",
             m.name,
             m.description,
             m.sim_cycles,
             m.wall_ns,
             json_f64(Some(rate)),
-            json_f64(Some(legacy_rate)),
-            json_f64(Some(rate / legacy_rate)),
-            json_f64(Some(skip_rate)),
-            json_f64(Some(skip_rate / rate)),
             json_f64(seed),
             speedup
                 .filter(|s| s.is_finite())
@@ -545,18 +371,12 @@ fn main() {
                 .unwrap_or_else(|| "null".to_string()),
         ));
     }
-    let fork_speedup = fork_fuzz_speedup(cycles);
-    eprintln!(
-        "  fork_fuzz_speedup      {fork_speedup:.2}x (4-combo coverage, forked vs full re-execution)"
-    );
     let json = format!(
-        "{{\n  \"schema\": \"disc-bench-core/v3\",\n  \"mode\": \"{}\",\n  \
-         \"cycles_per_run\": {},\n  \"reps\": {},\n  \
-         \"fork_fuzz_speedup\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"disc-bench-core/v4\",\n  \"mode\": \"{}\",\n  \
+         \"cycles_per_run\": {},\n  \"reps\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         cycles,
         reps,
-        fork_speedup,
         entries.join(",\n")
     );
     std::fs::write(&out, &json).expect("write benchmark json");
@@ -573,31 +393,27 @@ mod tests {
             description: "a run the clock could not resolve",
             sim_cycles,
             wall_ns: 0,
-            skip_wall_ns: 0,
-            legacy_wall_ns: 0,
+            burst_cycles: 0,
+            skipped_cycles: 0,
         }
     }
 
     #[test]
     fn zero_duration_rates_stay_finite_and_render_as_numbers() {
         let m = degenerate(1_000);
-        for (what, rate) in [
-            ("rate", m.rate()),
-            ("skip_rate", m.skip_rate()),
-            ("legacy_rate", m.legacy_rate()),
-        ] {
-            assert!(rate.is_finite(), "{what} must be finite, got {rate}");
-            assert!(rate > 0.0, "{what} must stay positive, got {rate}");
-            assert_ne!(
-                json_f64(Some(rate)),
-                "null",
-                "{what} must render as a number"
-            );
-        }
-        // The derived speedup columns divide two rates; with clamped
-        // denominators they stay finite too instead of inf/inf = NaN.
-        assert!((m.rate() / m.legacy_rate()).is_finite());
-        assert!((m.skip_rate() / m.rate()).is_finite());
+        assert!(m.rate().is_finite() && m.rate() > 0.0, "{}", m.rate());
+        assert_ne!(json_f64(Some(m.rate())), "null");
+    }
+
+    #[test]
+    fn path_shares_sum_to_one() {
+        let m = Measurement {
+            burst_cycles: 600,
+            skipped_cycles: 100,
+            ..degenerate(1_000)
+        };
+        assert_eq!(m.path_shares(), [0.3, 0.6, 0.1]);
+        assert_eq!(degenerate(0).path_shares(), [0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn drive(addr: &str, sessions: usize) -> Vec<u128> {
                 let report = done.get("report").expect("done carries a report");
                 assert_eq!(
                     report.get("schema").and_then(Json::as_str),
-                    Some("disc-run-report/v3"),
+                    Some("disc-run-report/v4"),
                     "streamed report schema"
                 );
                 assert!(

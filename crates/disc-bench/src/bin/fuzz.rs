@@ -97,9 +97,9 @@ fn main() {
                      --corpus PATH   regression seed file (default: crate's fuzz/regressions.txt)\n\
                      --no-corpus     skip the regression corpus\n\
                      --no-minimize   report divergences without shrinking them\n\
-                     --fork          fork-based mode coverage: warm up once per seed,\n\
-                     \u{20}               snapshot, fork every step x dispatch combo from the\n\
-                     \u{20}               warm point; failures leave crash artifacts\n\
+                     --fork          fork-based coverage: warm up once per seed, snapshot,\n\
+                     \u{20}               fork run_reference and run from the warm point;\n\
+                     \u{20}               failures leave crash artifacts\n\
                      --artifacts DIR where --fork writes crash artifacts\n\
                      \u{20}               (default: crate's fuzz/artifacts/)\n\
                      \n\

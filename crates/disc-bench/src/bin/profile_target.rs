@@ -8,7 +8,7 @@
 //! total simulated cycle count (default 50 million). Built and driven by
 //! `make profile`.
 
-use disc_core::{DispatchMode, Machine, MachineConfig};
+use disc_core::{Machine, MachineConfig};
 use disc_isa::Program;
 
 fn compute_program(streams: usize) -> Program {
@@ -62,10 +62,6 @@ fn main() {
         .next()
         .map(|c| c.parse().expect("cycles must be an integer"))
         .unwrap_or(50_000_000);
-    let dispatch = match std::env::var("DISC_DISPATCH").as_deref() {
-        Ok("legacy") => DispatchMode::Legacy,
-        _ => DispatchMode::Superblock,
-    };
 
     let (program, streams) = match workload.as_str() {
         "compute" => (compute_program(4), 4),
@@ -77,9 +73,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let config = MachineConfig::disc1()
-        .with_streams(streams)
-        .with_dispatch_mode(dispatch);
+    let config = MachineConfig::disc1().with_streams(streams);
     let mut m = Machine::new(config, &program);
     if workload == "irq" {
         m.set_idle_exit(false);

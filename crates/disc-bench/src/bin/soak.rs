@@ -7,11 +7,9 @@
 //! `--runs 1 --base-seed <seed>`.
 //!
 //! Usage: `soak [--runs N] [--horizon CYCLES] [--base-seed SEED]
-//! [--step-mode MODE] [--report PATH] [--checkpoint DIR [--resume]]`
-//! (worker count follows `DISC_JOBS`). `--report` writes the campaign's
-//! schema-versioned run report JSON to PATH in addition to the stdout
-//! summary. `--step-mode` selects `cycle-by-cycle` (default) or
-//! `event-skip`; the campaign verdict must be identical either way.
+//! [--report PATH] [--checkpoint DIR [--resume]]` (worker count follows
+//! `DISC_JOBS`). `--report` writes the campaign's schema-versioned run
+//! report JSON to PATH in addition to the stdout summary.
 //!
 //! `--checkpoint DIR` journals every completed run to
 //! `DIR/soak.journal` the moment it finishes, making the campaign
@@ -25,12 +23,11 @@
 //! reseeds the board's `[[fault]]` plan (`Board::with_fault_seed`) and
 //! drives its `[program]` for the horizon, failing on any simulator
 //! fault; the first seed is re-run at the end and must replay
-//! byte-identically. Board campaigns take `--runs`, `--horizon`,
-//! `--base-seed` and `--step-mode`; the isolation-invariant flags and
-//! checkpointing apply only to the built-in task workload.
+//! byte-identically. Board campaigns take `--runs`, `--horizon` and
+//! `--base-seed`; the isolation-invariant flags and checkpointing apply
+//! only to the built-in task workload.
 
 use disc_board::Board;
-use disc_core::StepMode;
 use disc_rts::SoakConfig;
 
 fn parse_u64(args: &mut std::env::Args, flag: &str) -> u64 {
@@ -50,7 +47,7 @@ fn parse_u64(args: &mut std::env::Args, flag: &str) -> u64 {
 fn board_run(board: &Board, cfg: &SoakConfig, seed: u64) -> Result<(u64, u64, u64, u64), String> {
     let reseeded = board.clone().with_fault_seed(seed);
     let mut m = reseeded
-        .machine_with_modes(cfg.step_mode, reseeded.config.dispatch_mode)
+        .machine()
         .map_err(|e| format!("board rejected: {e}"))?;
     m.run(cfg.horizon)
         .map_err(|e| format!("simulator fault: {e}"))?;
@@ -182,23 +179,10 @@ fn main() {
                     .unwrap_or_else(|| panic!("--board needs a board-file path"));
                 board_path = Some(std::path::PathBuf::from(value));
             }
-            "--step-mode" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--step-mode needs a value"));
-                cfg.step_mode = match value.as_str() {
-                    "cycle-by-cycle" => StepMode::CycleByCycle,
-                    "event-skip" => StepMode::EventSkip,
-                    other => panic!(
-                        "bad --step-mode value {other:?} (expected cycle-by-cycle or event-skip)"
-                    ),
-                };
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: soak [--runs N] [--horizon CYCLES] [--base-seed SEED] \
-                     [--step-mode cycle-by-cycle|event-skip] [--report PATH] \
-                     [--checkpoint DIR [--resume]] [--board FILE]"
+                     [--report PATH] [--checkpoint DIR [--resume]] [--board FILE]"
                 );
                 return;
             }

@@ -17,14 +17,7 @@ fn main() {
     let report = RunReport::new("sweep_window")
         .section("scale", Json::obj([("calls", Json::U64(calls))]))
         .section("table", disc_bench::table_json(&table))
-        .section(
-            "timing",
-            disc_obs::timing_json(
-                disc_core::StepMode::CycleByCycle,
-                None,
-                &disc_core::SkipStats::default(),
-            ),
-        );
+        .section("timing", disc_obs::timing_json(None));
     match report.write_under("results", "sweep_window") {
         Ok(path) => eprintln!("run report written to {}", path.display()),
         Err(e) => eprintln!("warning: could not write run report: {e}"),

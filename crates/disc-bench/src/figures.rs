@@ -1,6 +1,6 @@
 //! Reproductions of the paper's figures on the cycle-accurate machine.
 
-use disc_core::{Machine, MachineConfig, StepMode};
+use disc_core::{Machine, MachineConfig};
 use disc_isa::{Program, Reg};
 
 use crate::workloads;
@@ -12,18 +12,10 @@ use crate::workloads;
 ///
 /// Panics if the demo program fails to assemble or run (a bug).
 pub fn fig_3_1_interleaved_pipeline() -> String {
-    fig_3_1_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_1_interleaved_pipeline`] under an explicit [`StepMode`]. The
-/// equivalence tests render every figure in both modes and require
-/// byte-identical text.
-pub fn fig_3_1_with(mode: StepMode) -> String {
     let program = workloads::compute_program(5);
     // An exact 5-slot sequence keeps consecutive slots on distinct
     // streams (a 16-slot table over 5 streams would double up).
-    let cfg = workloads::fig_3_1_config().with_step_mode(mode);
-    let mut m = Machine::new(cfg, &program);
+    let mut m = Machine::new(workloads::fig_3_1_config(), &program);
     // Warm the pipe, then trace a window.
     m.run(10).unwrap();
     m.trace_start(12);
@@ -50,15 +42,9 @@ pub fn fig_3_1_with(mode: StepMode) -> String {
 ///
 /// Panics if the demo program fails to assemble or run (a bug).
 pub fn fig_3_2_jump() -> String {
-    fig_3_2_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_2_jump`] under an explicit [`StepMode`].
-pub fn fig_3_2_with(mode: StepMode) -> String {
     let run_with = |streams: usize| {
         let program = workloads::compute_program(streams);
-        let cfg = workloads::fig_3_2_config(streams).with_step_mode(mode);
-        let mut m = Machine::new(cfg, &program);
+        let mut m = Machine::new(workloads::fig_3_2_config(streams), &program);
         m.run(400).unwrap();
         let st = m.stats();
         (st.flushed_jump, st.utilization())
@@ -83,14 +69,8 @@ pub fn fig_3_2_with(mode: StepMode) -> String {
 ///
 /// Panics if the demo program fails to assemble or run (a bug).
 pub fn fig_3_3_dynamic() -> String {
-    fig_3_3_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_3_dynamic`] under an explicit [`StepMode`].
-pub fn fig_3_3_with(mode: StepMode) -> String {
     let program = Program::assemble(&workloads::fig_3_3_source()).unwrap();
-    let cfg = workloads::fig_3_3_config().with_step_mode(mode);
-    let mut m = Machine::new(cfg, &program);
+    let mut m = Machine::new(workloads::fig_3_3_config(), &program);
     m.set_idle_exit(false);
 
     let mut out = String::from(
@@ -134,15 +114,8 @@ pub fn fig_3_3_with(mode: StepMode) -> String {
 ///
 /// Panics if the demo program fails to assemble or run (a bug).
 pub fn fig_3_4_stack_window() -> String {
-    fig_3_4_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_4_stack_window`] under an explicit [`StepMode`]. This figure
-/// single-steps the machine, where skipping never engages; the knob
-/// still exercises the mode plumbing.
-pub fn fig_3_4_with(mode: StepMode) -> String {
     let program = Program::assemble(workloads::FIG_3_4_SOURCE).unwrap();
-    let mut m = Machine::new(workloads::fig_3_4_config().with_step_mode(mode), &program);
+    let mut m = Machine::new(workloads::fig_3_4_config(), &program);
     let mut out = String::from(
         "Figures 3.4/3.5 - Stack Window Movements\n\n\
          cycle  AWP  event\n",

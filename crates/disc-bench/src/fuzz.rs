@@ -26,8 +26,7 @@ use std::path::{Path, PathBuf};
 use crate::replay::ReplayLog;
 use disc_board::Board;
 use disc_core::{
-    CycleRecord, DispatchMode, Exit, Machine, MachineConfig, SchedulePolicy, StepMode, TraceEvent,
-    TraceSink,
+    CycleRecord, Exit, Machine, MachineConfig, SchedulePolicy, SimError, TraceEvent, TraceSink,
 };
 use disc_isa::{encode::encode, AluImmOp, AluOp, AwpMode, Cond, Instruction, Program, Reg};
 use disc_ref::{RefConfig, RefExit, RefMachine};
@@ -106,24 +105,13 @@ pub struct GenProgram {
     /// Random 16-slot sequence table, or `None` for round-robin
     /// (architecturally invisible).
     pub schedule: Option<Vec<u8>>,
-    /// Timing mode for the machine run (architecturally invisible). When
-    /// [`StepMode::EventSkip`] is drawn, the runner additionally executes
-    /// a second, sink-free machine where quiescence skipping can actually
-    /// engage (the retire-log sink pins it off on the primary machine)
-    /// and requires its final state and statistics to be identical.
-    pub step_mode: StepMode,
-    /// Execute dispatcher for the machine run (architecturally
-    /// invisible). Like the step mode, [`DispatchMode::Superblock`] only
-    /// engages on the sink-free cross-check machine — the retire-log sink
-    /// pins burst execution off on the primary machine.
-    pub dispatch_mode: DispatchMode,
     /// External address ranges `[lo, hi)` the program may touch, for the
     /// external-memory comparison sweep.
     pub ext_regions: Vec<(u16, u16)>,
     /// Board document backing the run, or `None` for the machine's
     /// built-in flat external memory (architecturally invisible). When
     /// drawn, every machine the runner builds — primary, sink-free
-    /// cross-check, and each mode fork — gets the board's peripheral
+    /// cross-check, and each fork — gets the board's peripheral
     /// bus: external RAM covering both per-stream data bands at the
     /// drawn latency, plus up to two decorative IRQ-less devices that
     /// perturb event-skip horizons and bus arbitration without touching
@@ -705,19 +693,12 @@ pub fn generate(seed: u64) -> GenProgram {
     let pipeline_depth = rng.range(3, 6) as usize;
     let window_depth = rng.pick(&[12usize, 16, 64]);
     let ext_latency = rng.below(4) as u32;
-    let step_mode = if rng.chance(50) {
-        StepMode::EventSkip
-    } else {
-        StepMode::CycleByCycle
-    };
-    // Drawn after every pre-existing knob so older corpus seeds keep
-    // generating the exact same programs and configurations.
-    let dispatch_mode = if rng.chance(50) {
-        DispatchMode::Superblock
-    } else {
-        DispatchMode::Legacy
-    };
-    // Drawn after the dispatch mode, for the same reason. A board can
+    // Two coins once drew the retired step and dispatch modes. They are
+    // still drawn, and discarded, so every corpus seed keeps generating
+    // the exact same program and configuration.
+    let _ = rng.chance(50);
+    let _ = rng.chance(50);
+    // Drawn last so older corpus seeds keep their programs. A board can
     // only express mapped latencies of at least one cycle, so seeds that
     // drew latency 0 always keep the flat bus.
     let board = if ext_latency >= 1 && rng.chance(35) {
@@ -734,8 +715,6 @@ pub fn generate(seed: u64) -> GenProgram {
         window_depth,
         ext_latency,
         schedule,
-        step_mode,
-        dispatch_mode,
         ext_regions,
         board,
     }
@@ -841,9 +820,7 @@ fn machine_config(gp: &GenProgram) -> MachineConfig {
     let mut cfg = MachineConfig::disc1()
         .with_streams(gp.streams)
         .with_window_depth(gp.window_depth)
-        .with_default_ext_latency(gp.ext_latency)
-        .with_step_mode(gp.step_mode)
-        .with_dispatch_mode(gp.dispatch_mode);
+        .with_default_ext_latency(gp.ext_latency);
     cfg.pipeline_depth = gp.pipeline_depth;
     if let Some(table) = &gp.schedule {
         cfg = cfg.with_schedule(SchedulePolicy::Sequence(table.clone()));
@@ -888,24 +865,18 @@ pub fn compare_with_budget(
     machine.set_trace_sink(Box::new(RetireLog {
         per_stream: vec![Vec::new(); gp.streams],
     }));
-    let m_exit = machine.run(machine_cycles);
+    let m_exit = machine.run_reference(machine_cycles);
     let retire_log = machine
         .take_trace_sink()
         .and_then(|sink| sink.into_any().downcast::<RetireLog>().ok())
         .expect("retire log sink");
 
-    // When the timing knob drew EventSkip or the dispatch knob drew
-    // Superblock, the primary machine above had both fast paths pinned
-    // off by its trace sink; run a second, sink-free machine where they
-    // can engage and hold it to the same exit, statistics (including
+    // The primary machine above stepped every cycle; run a second,
+    // sink-free machine through `run`, where event skips and superblock
+    // bursts engage, and hold it to the same exit, statistics (including
     // cycle attribution) and final state.
-    let cross_check =
-        gp.step_mode == StepMode::EventSkip || gp.dispatch_mode == DispatchMode::Superblock;
-    let skipper = cross_check.then(|| {
-        let mut skipper = build_machine(gp, machine_config(gp));
-        let exit = skipper.run(machine_cycles);
-        (skipper, exit)
-    });
+    let mut fast = build_machine(gp, machine_config(gp));
+    let f_exit = fast.run(machine_cycles);
 
     let mut reference = RefMachine::new(ref_config(gp), &gp.program);
     let r_exit = reference.run(ref_steps);
@@ -937,24 +908,20 @@ pub fn compare_with_budget(
         &mut details,
     );
 
-    // Sink-free cross-check (event skip and/or superblock dispatch
-    // engaged): must be indistinguishable from the pinned run.
-    if let Some((mut skipper, s_exit)) = skipper {
-        if s_exit != m_exit {
-            details.push(format!(
-                "sink-free: exit {s_exit:?} vs cycle-by-cycle {m_exit:?}"
-            ));
-        }
-        diff_machines(
-            "sink-free",
-            &mut machine,
-            &mut skipper,
-            gp.streams,
-            reference.internal_len() as u16,
-            &ext_addrs,
-            &mut details,
-        );
+    // Sink-free cross-check: must be indistinguishable from the
+    // per-cycle run.
+    if f_exit != m_exit {
+        details.push(format!("run: exit {f_exit:?} vs run_reference {m_exit:?}"));
     }
+    diff_machines(
+        "run",
+        &mut machine,
+        &mut fast,
+        gp.streams,
+        reference.internal_len() as u16,
+        &ext_addrs,
+        &mut details,
+    );
 
     if details.is_empty() {
         Ok(steps)
@@ -1207,20 +1174,23 @@ fn diff_machines(
     }
 }
 
-// ---- fork-based mode coverage -------------------------------------------
+// ---- fork-based loop coverage -------------------------------------------
 
 /// Cycles the shared warm-up phase runs before the fork snapshot is
 /// taken. Small on purpose: generated programs are short, and the forks
-/// must re-execute most of each program under their own timing modes for
-/// the coverage to mean anything.
+/// must re-execute most of each program through their own loop for the
+/// coverage to mean anything.
 pub const WARM_CYCLES: u64 = 256;
 
-/// Every step-mode × dispatch-mode combination the machine supports.
-pub const MODE_COMBOS: [(StepMode, DispatchMode); 4] = [
-    (StepMode::CycleByCycle, DispatchMode::Legacy),
-    (StepMode::CycleByCycle, DispatchMode::Superblock),
-    (StepMode::EventSkip, DispatchMode::Legacy),
-    (StepMode::EventSkip, DispatchMode::Superblock),
+/// A machine loop: [`Machine::run`] or [`Machine::run_reference`].
+pub type RunLoop = fn(&mut Machine, u64) -> Result<Exit, SimError>;
+
+/// The two loops every tail is checked through, the per-cycle
+/// [`Machine::run_reference`] first and the fast-path [`Machine::run`]
+/// second.
+pub const LOOPS: [(&str, RunLoop); 2] = [
+    ("run_reference", Machine::run_reference),
+    ("run", Machine::run),
 ];
 
 /// A fork-mode fuzz failure: the divergence plus everything needed to
@@ -1260,30 +1230,29 @@ fn fork_failure(
 }
 
 /// Fork-based differential check: generates and warms up **once** per
-/// seed, snapshots, and forks a machine per [`MODE_COMBOS`] entry from
-/// the shared warm point instead of re-executing every mode from cold.
+/// seed, snapshots, and forks a machine per [`LOOPS`] entry from
+/// the shared warm point instead of re-executing each from cold.
 ///
-/// The base machine (pinned cycle-by-cycle, legacy dispatch, retire-log
+/// The base machine (per-cycle [`Machine::run_reference`], retire-log
 /// sink) runs to completion and is compared field by field against the
 /// `disc-ref` interpreter exactly like [`compare_with_budget`]; each fork
-/// then runs only the post-snapshot tail under its own timing mode and
-/// must land on the identical final state and statistics. The
-/// `(CycleByCycle, Legacy)` fork doubles as a restore-fidelity check —
-/// it re-executes the base tail from the snapshot and must agree.
+/// then runs only the post-snapshot tail through its own loop and must
+/// land on the identical final state and statistics. The
+/// `run_reference` fork doubles as a restore-fidelity check — it
+/// re-executes the base tail from the snapshot and must agree.
 pub fn compare_forked(gp: &GenProgram) -> Result<u64, Box<ForkFailure>> {
     let mut details = Vec::new();
 
-    let base_cfg = machine_config(gp)
-        .with_step_mode(StepMode::CycleByCycle)
-        .with_dispatch_mode(DispatchMode::Legacy);
-    let mut machine = build_machine(gp, base_cfg);
+    let mut machine = build_machine(gp, machine_config(gp));
     machine.set_trace_sink(Box::new(RetireLog {
         per_stream: vec![Vec::new(); gp.streams],
     }));
-    let warm_exit = machine.run(WARM_CYCLES.min(MACHINE_CYCLES));
+    let warm_exit = machine.run_reference(WARM_CYCLES.min(MACHINE_CYCLES));
     let snapshot = machine.snapshot();
     let m_exit = match warm_exit {
-        Ok(Exit::CycleLimit) => machine.run(MACHINE_CYCLES - WARM_CYCLES.min(MACHINE_CYCLES)),
+        Ok(Exit::CycleLimit) => {
+            machine.run_reference(MACHINE_CYCLES - WARM_CYCLES.min(MACHINE_CYCLES))
+        }
         other => other,
     };
     let retire_log = machine
@@ -1316,23 +1285,18 @@ pub fn compare_forked(gp: &GenProgram) -> Result<u64, Box<ForkFailure>> {
         &mut details,
     );
 
-    for (step, dispatch) in MODE_COMBOS {
-        let cfg = machine_config(gp)
-            .with_step_mode(step)
-            .with_dispatch_mode(dispatch);
-        let mut fork = build_machine(gp, cfg);
+    for (name, run) in LOOPS {
+        let mut fork = build_machine(gp, machine_config(gp));
         if let Err(e) = fork.restore(&snapshot) {
-            details.push(format!("fork {step:?}/{dispatch:?}: restore failed: {e}"));
+            details.push(format!("fork {name}: restore failed: {e}"));
             continue;
         }
-        let f_exit = fork.run(MACHINE_CYCLES);
+        let f_exit = run(&mut fork, MACHINE_CYCLES);
         if f_exit != m_exit {
-            details.push(format!(
-                "fork {step:?}/{dispatch:?}: exit {f_exit:?} vs base {m_exit:?}"
-            ));
+            details.push(format!("fork {name}: exit {f_exit:?} vs base {m_exit:?}"));
         }
         diff_machines(
-            &format!("fork {step:?}/{dispatch:?}"),
+            &format!("fork {name}"),
             &mut machine,
             &mut fork,
             gp.streams,
@@ -1353,7 +1317,7 @@ pub fn compare_forked(gp: &GenProgram) -> Result<u64, Box<ForkFailure>> {
 ///
 /// # Errors
 ///
-/// Returns the [`ForkFailure`] when any mode combo or the reference
+/// Returns the [`ForkFailure`] when either fork or the reference
 /// comparison diverges.
 pub fn fork_check_seed(seed: u64) -> Result<u64, Box<ForkFailure>> {
     compare_forked(&generate(seed))
@@ -1379,9 +1343,7 @@ pub fn write_artifact(dir: &Path, failure: &ForkFailure) -> std::io::Result<Path
     // the full case either way.
     if gp.board.is_none() {
         let log = ReplayLog {
-            config: machine_config(gp)
-                .with_step_mode(StepMode::CycleByCycle)
-                .with_dispatch_mode(DispatchMode::Legacy),
+            config: machine_config(gp),
             program: gp.program.clone(),
             start: failure.snapshot.clone(),
             events: Vec::new(),
@@ -1407,11 +1369,6 @@ pub fn write_artifact(dir: &Path, failure: &ForkFailure) -> std::io::Result<Path
         gp.pipeline_depth, gp.window_depth, gp.ext_latency
     );
     let _ = writeln!(txt, "schedule: {:?}", gp.schedule);
-    let _ = writeln!(
-        txt,
-        "drawn step_mode: {:?}  dispatch_mode: {:?}",
-        gp.step_mode, gp.dispatch_mode
-    );
     let _ = writeln!(
         txt,
         "board: {}",
@@ -1459,8 +1416,8 @@ fn write_panic_artifact(dir: &Path, seed: u64, msg: &str) -> std::io::Result<()>
 }
 
 /// Fork-mode campaign: like [`run_campaign`], but each seed is checked
-/// through [`fork_check_seed`] — generate and warm up once, fork per mode
-/// combo — and any failure (divergence or worker panic) leaves a crash
+/// through [`fork_check_seed`] — generate and warm up once, fork per
+/// [`LOOPS`] entry — and any failure (divergence or worker panic) leaves a crash
 /// artifact in `artifact_dir` via [`write_artifact`]. A panic yields a
 /// knobs-only artifact: no pre-divergence snapshot survives an unwound
 /// worker, but the seed alone regenerates the case.
@@ -1705,14 +1662,11 @@ mod tests {
         // rebuilds), so pin the board knob off.
         let mut gp = generate(5);
         gp.board = None;
-        let cfg = machine_config(&gp)
-            .with_step_mode(StepMode::CycleByCycle)
-            .with_dispatch_mode(DispatchMode::Legacy);
-        let mut m = Machine::new(cfg, &gp.program);
-        let warm_exit = m.run(WARM_CYCLES);
+        let mut m = Machine::new(machine_config(&gp), &gp.program);
+        let warm_exit = m.run_reference(WARM_CYCLES);
         let snapshot = m.snapshot();
         if matches!(warm_exit, Ok(Exit::CycleLimit)) {
-            m.run(MACHINE_CYCLES).expect("base run");
+            m.run_reference(MACHINE_CYCLES).expect("base run");
         }
         let failure = ForkFailure {
             divergence: Divergence {

@@ -12,17 +12,15 @@ pub mod fuzz;
 pub mod replay;
 pub mod workloads;
 
-use disc_core::{SkipStats, StepMode};
 use disc_obs::Json;
 
-/// Builds the v2 `timing` section for a stochastic sweep report: the
-/// model is stepped cycle by cycle (event skipping applies only to the
-/// cycle-accurate machine), and every table cell is `seeds` independent
-/// runs of `cycles` cycles, so the wall-clock throughput is exact.
+/// Builds the `timing` section for a stochastic sweep report: every
+/// table cell is `seeds` independent runs of `cycles` cycles, so the
+/// wall-clock throughput is exact.
 pub fn sweep_timing(table: &disc_stoch::Table, cycles: u64, seeds: u64, wall_secs: f64) -> Json {
     let total = (table.rows().len() * table.columns().len()) as u64 * seeds * cycles;
     let rate = (wall_secs > 0.0).then(|| total as f64 / wall_secs);
-    disc_obs::timing_json(StepMode::CycleByCycle, rate, &SkipStats::default())
+    disc_obs::timing_json(rate)
 }
 
 /// Renders a `disc-stoch` result table as JSON for inclusion in a

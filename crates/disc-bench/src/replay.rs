@@ -1,17 +1,19 @@
 //! Deterministic record–replay of cycle-accurate machine runs.
 //!
 //! A [`ReplayLog`] is a self-contained `disc-replay/v1` file: the full
-//! [`MachineConfig`] (including the timing-only step/dispatch modes), the
-//! program image (words, entry points, interrupt vectors), a starting
+//! [`MachineConfig`], the program image (words, entry points, interrupt vectors), a starting
 //! [`Machine::snapshot`], the tape of external inputs applied during the
 //! recording (today: [`Machine::raise_interrupt`] calls, stamped with the
 //! cycle they landed on), the cycle the recording ended at, and a final
 //! snapshot of the machine state at that cycle.
 //!
 //! [`replay`] rebuilds the machine, restores the starting snapshot, and
-//! re-applies the tape at the recorded cycles; because the simulator is
-//! deterministic, the replayed machine reaches a *byte-identical* final
-//! snapshot — statistics, cycle attribution and all. Passing `to_cycle`
+//! re-applies the tape at the recorded cycles through the per-cycle
+//! [`Machine::run_reference`]; because the simulator is deterministic, a
+//! recording driven the same way reaches a *byte-identical* final
+//! snapshot — statistics, cycle attribution and all. (The snapshot also
+//! carries the fast-path counters of [`Machine::run`], which the
+//! reference loop leaves at zero, so recordings step per cycle too.) Passing `to_cycle`
 //! stops the re-execution mid-tape instead, which is the time-travel
 //! primitive: bisect a long run for the cycle where a property first goes
 //! wrong without ever re-running from cold.
@@ -166,7 +168,9 @@ impl ReplayLog {
 }
 
 /// Records a run as the host drives it: route every external input
-/// through the recorder so it lands on the tape with its cycle stamp.
+/// through the recorder so it lands on the tape with its cycle stamp,
+/// and advance the machine with [`Machine::run_reference`], the loop
+/// [`replay`] re-executes with.
 ///
 /// ```no_run
 /// # use disc_bench::replay::Recorder;
@@ -177,7 +181,7 @@ impl ReplayLog {
 /// let mut m = Machine::new(config.clone(), &program);
 /// let mut rec = Recorder::begin(&m, &config, &program);
 /// rec.raise_irq(&mut m, 3, 5);
-/// m.run(1_000).unwrap();
+/// m.run_reference(1_000).unwrap();
 /// let log = rec.finish(&m);
 /// std::fs::write("run.replay", log.save()).unwrap();
 /// ```
@@ -274,7 +278,7 @@ fn run_to(m: &mut Machine, target: u64) -> Result<(), ReplayError> {
         if now >= target {
             return Ok(());
         }
-        match m.run(target - now) {
+        match m.run_reference(target - now) {
             Ok(Exit::CycleLimit) => {}
             Ok(_) => {
                 if m.stats().cycles < target {
@@ -336,7 +340,7 @@ mod tests {
         let mut rec = Recorder::begin(&m, config, program);
         for _ in 0..40 {
             rec.raise_irq(&mut m, 3, 5);
-            m.run(50).expect("chunk runs");
+            m.run_reference(50).expect("chunk runs");
         }
         rec.finish(&m)
     }
@@ -358,28 +362,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_survives_serialization_and_mode_variants() {
+    fn replay_survives_serialization() {
         let program = irq_program();
-        for (step, dispatch) in [
-            (
-                disc_core::StepMode::CycleByCycle,
-                disc_core::DispatchMode::Legacy,
-            ),
-            (
-                disc_core::StepMode::EventSkip,
-                disc_core::DispatchMode::Superblock,
-            ),
-        ] {
-            let config = disc_core::MachineConfig::disc1()
-                .with_step_mode(step)
-                .with_dispatch_mode(dispatch);
-            let log = record_run(&config, &program);
-            let bytes = log.save();
-            let loaded = ReplayLog::load(&bytes).expect("log loads");
-            assert_eq!(loaded.save(), bytes, "save/load round-trips");
-            let replayed = replay(&loaded, None).expect("replay completes");
-            assert_eq!(replayed.snapshot(), loaded.final_snapshot);
-        }
+        let config = disc_core::MachineConfig::disc1().with_default_ext_latency(5);
+        let log = record_run(&config, &program);
+        let bytes = log.save();
+        let loaded = ReplayLog::load(&bytes).expect("log loads");
+        assert_eq!(loaded.save(), bytes, "save/load round-trips");
+        let replayed = replay(&loaded, None).expect("replay completes");
+        assert_eq!(replayed.snapshot(), loaded.final_snapshot);
     }
 
     #[test]
@@ -399,11 +390,11 @@ mod tests {
                 continue;
             }
             let now = mid.stats().cycles;
-            mid.run(*cycle - now).expect("advance");
+            mid.run_reference(*cycle - now).expect("advance");
             mid.raise_interrupt(*stream, *bit);
         }
         let now = mid.stats().cycles;
-        mid.run(log.end_cycle - now).expect("tail");
+        mid.run_reference(log.end_cycle - now).expect("tail");
         assert_eq!(mid.snapshot(), log.final_snapshot);
     }
 

@@ -62,16 +62,6 @@ fn microarchitecture_knobs_are_exercised() {
         "pipeline depths"
     );
     assert!(gps.iter().any(|g| !g.exact), "cross-signal programs");
-    assert!(
-        gps.iter()
-            .any(|g| g.step_mode == disc_core::StepMode::EventSkip),
-        "event-skip runs"
-    );
-    assert!(
-        gps.iter()
-            .any(|g| g.step_mode == disc_core::StepMode::CycleByCycle),
-        "cycle-by-cycle runs"
-    );
     assert!(gps.iter().any(|g| g.board.is_some()), "board-backed runs");
     assert!(gps.iter().any(|g| g.board.is_none()), "flat-bus runs");
     assert!(

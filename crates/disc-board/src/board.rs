@@ -8,10 +8,7 @@
 //! path, so a malformed board document can never take down a host (the
 //! session server nacks it instead).
 
-use disc_core::{
-    BusFaultPolicy, DataBus, DispatchMode, Machine, MachineConfig, SchedulePolicy, StepMode,
-    WindowPolicy,
-};
+use disc_core::{BusFaultPolicy, DataBus, Machine, MachineConfig, SchedulePolicy, WindowPolicy};
 use disc_faults::{AddrRange, FaultInjector, FaultPlan, FaultWindow};
 use disc_isa::Program;
 
@@ -411,27 +408,8 @@ impl Board {
     ///
     /// Errors when the board has no `[program]` or it fails to assemble.
     pub fn machine(&self) -> Result<Machine, BoardError> {
-        self.machine_with_modes(self.config.step_mode, self.config.dispatch_mode)
-    }
-
-    /// [`Board::machine`] with explicit step/dispatch modes — the
-    /// board-matrix conformance suite sweeps these without editing the
-    /// document.
-    ///
-    /// # Errors
-    ///
-    /// Errors when the board has no `[program]` or it fails to assemble.
-    pub fn machine_with_modes(
-        &self,
-        step: StepMode,
-        dispatch: DispatchMode,
-    ) -> Result<Machine, BoardError> {
         let program = self.program()?;
-        let config = self
-            .config
-            .clone()
-            .with_step_mode(step)
-            .with_dispatch_mode(dispatch);
+        let config = self.config.clone();
         let mut machine = match self.build_bus() {
             Some(bus) => Machine::with_bus(config, &program, bus),
             None => Machine::new(config, &program),
@@ -452,30 +430,11 @@ pub trait FromBoard: Sized {
     /// Returns [`BoardError`] when the board is unusable for this
     /// artifact (e.g. a machine needs a `[program]` section).
     fn from_board(board: &Board) -> Result<Self, BoardError>;
-
-    /// [`FromBoard::from_board`] with explicit step/dispatch modes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FromBoard::from_board`].
-    fn from_board_with_modes(
-        board: &Board,
-        step: StepMode,
-        dispatch: DispatchMode,
-    ) -> Result<Self, BoardError>;
 }
 
 impl FromBoard for Machine {
     fn from_board(board: &Board) -> Result<Self, BoardError> {
         board.machine()
-    }
-
-    fn from_board_with_modes(
-        board: &Board,
-        step: StepMode,
-        dispatch: DispatchMode,
-    ) -> Result<Self, BoardError> {
-        board.machine_with_modes(step, dispatch)
     }
 }
 

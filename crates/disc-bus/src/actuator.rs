@@ -77,7 +77,7 @@ impl Peripheral for Actuator {
 
     // Ticks only advance the timestamp clock; that alone never needs to
     // bound a skip, but the clock must still move so command timestamps
-    // stay identical across step modes.
+    // stay identical whether the cycles were stepped or skipped.
     fn advance(&mut self, cycles: u64) {
         self.cycle += cycles;
     }

@@ -169,8 +169,8 @@ impl Abi {
     /// the outstanding transaction does not complete within the stretch
     /// (`cycles < remaining`). A no-op when idle or `cycles` is 0.
     ///
-    /// Used by [`StepMode::EventSkip`](crate::StepMode) to fast-forward
-    /// quiescent stretches without per-cycle bookkeeping.
+    /// Used by the event skip of [`Machine::run`](crate::Machine::run) to
+    /// fast-forward quiescent stretches without per-cycle bookkeeping.
     pub fn advance(&mut self, cycles: u64) {
         if cycles == 0 {
             return;

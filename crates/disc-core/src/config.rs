@@ -41,57 +41,6 @@ pub enum BusFaultPolicy {
     Fault,
 }
 
-/// How [`Machine::run`](crate::Machine::run) advances simulated time.
-///
-/// The default steps every cycle through the full pipeline model.
-/// [`StepMode::EventSkip`] fast-forwards through *quiescent* stretches —
-/// cycles where no stream can issue because everything is suspended on a
-/// bus transaction, stalled by spill traffic, or dormant awaiting an
-/// interrupt — by computing the next architecturally observable event
-/// (ABI completion/timeout, peripheral countdowns via
-/// [`DataBus::next_event`](crate::DataBus::next_event), sampling-sink
-/// boundaries) and bulk-updating every counter exactly as if the cycles
-/// had been stepped singly. Final architectural state, statistics and
-/// cycle attribution are identical in both modes; only wall-clock time
-/// differs. A trace sink that needs every cycle (the default for
-/// [`TraceSink`](crate::TraceSink)) pins skipping off while attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StepMode {
-    /// Execute every cycle through the pipeline model (default).
-    #[default]
-    CycleByCycle,
-    /// Fast-forward through quiescent cycles to the next wake event.
-    EventSkip,
-}
-
-/// How [`Machine::run`](crate::Machine::run) dispatches the execute hot
-/// path.
-///
-/// The default threaded/superblock dispatcher predecodes every program
-/// word into a handler index plus hazard masks, executes through a
-/// function-pointer table, and — whenever the machine is in a
-/// *hazard-frozen* state (no outstanding bus transaction, no spill/fill
-/// stall, no in-flight window motion, no deliverable vectored interrupt,
-/// no attached trace sink) — runs cached straight-line superblocks of
-/// predecoded ops in a tight loop with bulk cycle/stat/attribution
-/// updates. The run length is bounded by the same
-/// [`DataBus::next_event`](crate::DataBus::next_event) wake machinery
-/// that powers [`StepMode::EventSkip`], so no peripheral tick, fault-plan
-/// window edge or interrupt is ever jumped over; a block ends at any
-/// branch/fork/signal/bus op or wake-source boundary. Architectural
-/// state, statistics, cycle attribution, traces and reports are
-/// byte-identical between the two modes — the differential fuzzer and the
-/// superblock equivalence suite pin this.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Threaded-code dispatch plus superblock caching (default).
-    #[default]
-    Superblock,
-    /// The historical per-cycle dispatcher, kept as the differential
-    /// baseline; never enters a superblock run.
-    Legacy,
-}
-
 /// Policy applied when a stream's window stack outgrows the physical
 /// register file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -155,15 +104,6 @@ pub struct MachineConfig {
     /// under [`BusFaultPolicy::Fault`]. Defaults to 5, below the
     /// stack-fault bit (6) and the conventional watchdog/NMI bit (7).
     pub bus_error_bit: u8,
-    /// How [`Machine::run`](crate::Machine::run) advances time. The
-    /// default cycle-by-cycle mode is byte-identical to historical
-    /// behavior; [`StepMode::EventSkip`] is an opt-in performance mode.
-    pub step_mode: StepMode,
-    /// How the execute hot path dispatches instructions. The default
-    /// [`DispatchMode::Superblock`] threaded dispatcher is byte-identical
-    /// to [`DispatchMode::Legacy`] in every architectural observable and
-    /// several times faster on straight-line code.
-    pub dispatch_mode: DispatchMode,
 }
 
 impl MachineConfig {
@@ -182,8 +122,6 @@ impl MachineConfig {
             bus_fault: BusFaultPolicy::Legacy,
             abi_timeout: 0,
             bus_error_bit: 5,
-            step_mode: StepMode::CycleByCycle,
-            dispatch_mode: DispatchMode::Superblock,
         }
     }
 
@@ -246,26 +184,9 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the stepping mode used by [`Machine::run`](crate::Machine::run).
-    pub fn with_step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = mode;
-        self
-    }
-
-    /// Sets the execute-path dispatch mode.
-    pub fn with_dispatch_mode(mut self, mode: DispatchMode) -> Self {
-        self.dispatch_mode = mode;
-        self
-    }
-
     /// Deterministic 64-bit fingerprint of this configuration. Every
     /// field (including the full schedule contents) folds into the hash,
     /// so two configs fingerprint equal iff they simulate identically.
-    /// [`step_mode`](Self::step_mode) and
-    /// [`dispatch_mode`](Self::dispatch_mode) are deliberately
-    /// *excluded*: they change how fast the simulator walks the cycle
-    /// count, never the architectural outcome — which is what lets one
-    /// warm snapshot fork across every step/dispatch knob combination.
     ///
     /// This is the fingerprint embedded in `disc-snap/v1` headers; the
     /// `disc-obs` report fingerprint renders the same value as hex.
@@ -306,9 +227,12 @@ impl MachineConfig {
         h
     }
 
-    /// Serializes the configuration (every field, *including* the
-    /// timing-only step/dispatch modes) into a snapshot writer. Used by
-    /// replay files, which must reconstruct the machine exactly as run.
+    /// Serializes every field into a snapshot writer. Used by replay
+    /// files, which must reconstruct the machine exactly as run.
+    ///
+    /// The layout ends with two tag bytes that once held the retired
+    /// step and dispatch modes. They are still written (as `1`) so
+    /// existing `disc-replay/v1` files keep loading unchanged.
     pub fn save_into(&self, w: &mut disc_snap::SnapWriter) {
         w.put_usize(self.streams);
         w.put_usize(self.pipeline_depth);
@@ -341,14 +265,8 @@ impl MachineConfig {
         });
         w.put_u64(self.abi_timeout);
         w.put_u8(self.bus_error_bit);
-        w.put_u8(match self.step_mode {
-            StepMode::CycleByCycle => 1,
-            StepMode::EventSkip => 2,
-        });
-        w.put_u8(match self.dispatch_mode {
-            DispatchMode::Superblock => 1,
-            DispatchMode::Legacy => 2,
-        });
+        w.put_u8(1);
+        w.put_u8(1);
     }
 
     /// Deserializes a configuration written by [`save_into`](Self::save_into).
@@ -394,16 +312,13 @@ impl MachineConfig {
         };
         let abi_timeout = r.get_u64()?;
         let bus_error_bit = r.get_u8()?;
-        let step_mode = match r.get_u8()? {
-            1 => StepMode::CycleByCycle,
-            2 => StepMode::EventSkip,
-            t => return Err(SnapError::Corrupt(format!("bad step mode tag {t}"))),
-        };
-        let dispatch_mode = match r.get_u8()? {
-            1 => DispatchMode::Superblock,
-            2 => DispatchMode::Legacy,
-            t => return Err(SnapError::Corrupt(format!("bad dispatch mode tag {t}"))),
-        };
+        // The retired step/dispatch mode tags: validated, then ignored.
+        for what in ["step mode", "dispatch mode"] {
+            match r.get_u8()? {
+                1 | 2 => {}
+                t => return Err(SnapError::Corrupt(format!("bad {what} tag {t}"))),
+            }
+        }
         Ok(MachineConfig {
             streams,
             pipeline_depth,
@@ -415,8 +330,6 @@ impl MachineConfig {
             bus_fault,
             abi_timeout,
             bus_error_bit,
-            step_mode,
-            dispatch_mode,
         })
     }
 
@@ -528,31 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_timing_knobs() {
-        let base = MachineConfig::disc1();
-        let fp = base.fingerprint();
-        for step in [StepMode::CycleByCycle, StepMode::EventSkip] {
-            for dispatch in [DispatchMode::Superblock, DispatchMode::Legacy] {
-                let c = base
-                    .clone()
-                    .with_step_mode(step)
-                    .with_dispatch_mode(dispatch);
-                assert_eq!(c.fingerprint(), fp, "{step:?}/{dispatch:?}");
-            }
-        }
-        assert_ne!(base.clone().with_streams(2).fingerprint(), fp);
-        assert_ne!(base.clone().with_abi_timeout(9).fingerprint(), fp);
-    }
-
-    #[test]
     fn config_snapshot_roundtrip() {
         let c = MachineConfig::disc1()
             .with_streams(3)
             .with_schedule(SchedulePolicy::WeightedDeficit(vec![3, 2, 1]))
             .with_bus_fault(BusFaultPolicy::Fault)
-            .with_abi_timeout(128)
-            .with_step_mode(StepMode::EventSkip)
-            .with_dispatch_mode(DispatchMode::Legacy);
+            .with_abi_timeout(128);
         let mut w = disc_snap::SnapWriter::new();
         c.save_into(&mut w);
         let bytes = w.into_bytes();
@@ -560,5 +454,24 @@ mod tests {
         let back = MachineConfig::restore_from(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn retired_mode_tags_are_validated_and_ignored() {
+        let c = MachineConfig::disc1();
+        let mut w = disc_snap::SnapWriter::new();
+        c.save_into(&mut w);
+        let mut bytes = w.into_bytes();
+        let n = bytes.len();
+        assert_eq!(&bytes[n - 2..], &[1, 1], "retired tags are written as 1");
+        // Files written while the modes existed may carry tag 2.
+        bytes[n - 2] = 2;
+        bytes[n - 1] = 2;
+        let mut r = disc_snap::SnapReader::new(&bytes);
+        assert_eq!(MachineConfig::restore_from(&mut r).unwrap(), c);
+        bytes[n - 1] = 3;
+        let mut r = disc_snap::SnapReader::new(&bytes);
+        let err = MachineConfig::restore_from(&mut r).unwrap_err();
+        assert!(err.to_string().contains("dispatch mode tag"), "{err}");
     }
 }

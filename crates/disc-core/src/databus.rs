@@ -52,7 +52,7 @@ pub trait DataBus: Send {
     ///
     /// The machine ticks the bus exactly once per cycle; the tick that
     /// happens during the machine step starting at cycle `now` counts as
-    /// occurring *at* `now`. [`StepMode::EventSkip`](crate::StepMode) uses
+    /// occurring *at* `now`. [`Machine::run`](crate::Machine::run) uses
     /// this hook to fast-forward quiescent stretches: the machine
     /// guarantees it never skips past the returned cycle, and compensates
     /// the omitted ticks with one [`advance`](DataBus::advance) call.

@@ -70,7 +70,7 @@ mod stream;
 mod trace;
 
 pub use abi::{Abi, AbiBusy, BusOp, RegTarget, Transaction};
-pub use config::{BusFaultPolicy, DispatchMode, MachineConfig, StepMode, WindowPolicy};
+pub use config::{BusFaultPolicy, MachineConfig, WindowPolicy};
 pub use databus::{DataBus, FlatBus, IrqRequest};
 pub use error::{Exit, SimError};
 pub use intmem::InternalMemory;

@@ -25,7 +25,7 @@ use disc_snap::{splitmix64, SnapError, SnapReader, SnapWriter};
 
 use crate::abi::{Abi, BusOp, RegTarget, Transaction};
 use crate::alu::{alu, eval_cond, imm_op};
-use crate::config::{BusFaultPolicy, DispatchMode, MachineConfig, StepMode};
+use crate::config::{BusFaultPolicy, MachineConfig};
 use crate::databus::{DataBus, FlatBus, IrqRequest};
 use crate::error::{Exit, SimError};
 use crate::intmem::InternalMemory;
@@ -398,11 +398,9 @@ pub struct Machine {
     abi: Abi,
     bus: Box<dyn DataBus>,
     stats: MachineStats,
-    /// Fast-forward accounting, nonzero only under
-    /// [`StepMode::EventSkip`].
+    /// Event-skip fast-forward accounting.
     skip_stats: SkipStats,
-    /// Superblock fast-path accounting, nonzero only under
-    /// [`DispatchMode::Superblock`].
+    /// Superblock fast-path accounting.
     sb_stats: SuperblockStats,
     /// Slow steps left before the next superblock eligibility probe.
     /// Persistent machine state (not a `run`-local) so splitting a run
@@ -421,7 +419,6 @@ pub struct Machine {
     halted: bool,
     next_seq: u64,
     idle_exit: bool,
-    legacy_decode: bool,
     trace: Option<Box<dyn TraceSink>>,
     irq_buf: Vec<IrqRequest>,
     events: Vec<TraceEvent>,
@@ -520,7 +517,6 @@ impl Machine {
             halted: false,
             next_seq: 0,
             idle_exit: true,
-            legacy_decode: false,
             trace: None,
             irq_buf: Vec::new(),
             events: Vec::new(),
@@ -555,14 +551,16 @@ impl Machine {
         &self.stats
     }
 
-    /// Fast-forward accounting of [`StepMode::EventSkip`]. All zero in
-    /// the default cycle-by-cycle mode.
+    /// Fast-forward accounting of the event-skip path of
+    /// [`run`](Self::run): quiescent stretches jumped in one update. All
+    /// zero under [`run_reference`](Self::run_reference).
     pub fn skip_stats(&self) -> &SkipStats {
         &self.skip_stats
     }
 
-    /// Superblock fast-path accounting of [`DispatchMode::Superblock`].
-    /// All zero under [`DispatchMode::Legacy`].
+    /// Accounting of the superblock-burst path of [`run`](Self::run):
+    /// hazard-frozen stretches run in a tight loop. All zero under
+    /// [`run_reference`](Self::run_reference).
     pub fn superblock_stats(&self) -> &SuperblockStats {
         &self.sb_stats
     }
@@ -577,14 +575,6 @@ impl Machine {
     /// into [`MachineStats::reallocations`] every cycle.
     pub fn scheduler_reallocations(&self) -> u64 {
         self.scheduler.reallocated()
-    }
-
-    /// Forces the original per-cycle decode path instead of the
-    /// predecoded store. Cycle-for-cycle behavior must be identical; this
-    /// switch exists so the differential test suite can prove it.
-    #[doc(hidden)]
-    pub fn set_legacy_decode(&mut self, enabled: bool) {
-        self.legacy_decode = enabled;
     }
 
     /// The internal 2 KB memory.
@@ -764,6 +754,15 @@ impl Machine {
 
     /// Runs until halt, breakpoint, idleness or the cycle budget expires.
     ///
+    /// Time advances through three paths, all architecturally invisible:
+    /// a provably quiescent stretch (nothing can issue, execute or change
+    /// state) jumps straight to the next wake event in one bulk counter
+    /// update; a hazard-frozen stretch runs as a superblock burst in a
+    /// tight loop; everything else takes one slow [`step`](Self::step) per
+    /// cycle. Final state, statistics, attribution, traces and reports are
+    /// byte-identical to [`run_reference`](Self::run_reference), which
+    /// steps every cycle.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::Decode`] when a stream fetches an undecodable
@@ -771,6 +770,27 @@ impl Machine {
     /// under [`BusFaultPolicy::Fault`] cannot be delivered because the
     /// stream masks the bus-error interrupt.
     pub fn run(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
+        self.run_with(max_cycles, Self::run_loop)
+    }
+
+    /// The per-cycle reference for [`run`](Self::run): the same entry and
+    /// run-end contract, but every cycle is one [`step`](Self::step) — no
+    /// event skip, no superblock burst. Tests, the differential fuzzer and
+    /// replay compare `run` against it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the [`run`](Self::run) errors.
+    #[doc(hidden)]
+    pub fn run_reference(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
+        self.run_with(max_cycles, Self::reference_loop)
+    }
+
+    fn run_with(
+        &mut self,
+        max_cycles: u64,
+        body: fn(&mut Self, u64) -> Result<Exit, SimError>,
+    ) -> Result<Exit, SimError> {
         // A finished machine must make `run` a strict no-op: a halted or
         // idle machine stays that way until an external input arrives, so
         // report it without burning a cycle — and without letting the
@@ -784,13 +804,7 @@ impl Machine {
         if self.idle_exit && self.all_idle() {
             return Ok(Exit::AllIdle);
         }
-        let exit = if self.config.step_mode == StepMode::EventSkip {
-            self.run_event_skip(max_cycles)?
-        } else if self.config.dispatch_mode == DispatchMode::Superblock {
-            self.run_superblock(max_cycles)?
-        } else {
-            self.run_cycle_by_cycle(max_cycles)?
-        };
+        let exit = body(self, max_cycles)?;
         if matches!(exit, Exit::Halted | Exit::AllIdle) {
             // The run ended for good (not a budget/breakpoint boundary):
             // let a windowed sink flush its partial tail window. The
@@ -828,69 +842,27 @@ impl Machine {
         })
     }
 
-    /// The original per-cycle `run` loop ([`DispatchMode::Legacy`] under
-    /// [`StepMode::CycleByCycle`]).
-    fn run_cycle_by_cycle(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
+    /// The body of [`run_reference`](Self::run_reference).
+    fn reference_loop(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
         for _ in 0..max_cycles {
-            match self.step()? {
-                Status::Running => {}
-                Status::Halted => return Ok(Exit::Halted),
-                Status::Breakpoint { stream, pc } => return Ok(Exit::Breakpoint { stream, pc }),
-            }
-            if self.idle_exit && self.all_idle() {
-                return Ok(Exit::AllIdle);
+            if let Some(exit) = self.slow_step()? {
+                return Ok(exit);
             }
         }
         Ok(Exit::CycleLimit)
     }
 
-    /// [`run`](Self::run) under [`DispatchMode::Superblock`]: identical to
-    /// the per-cycle loop except that, whenever the machine is in a
-    /// hazard-frozen state, stretches of cycles execute through the
-    /// superblock fast path in one call instead of one `step` each.
-    /// `Halted`, `Breakpoint` and the `AllIdle` exit can only arise from
-    /// slow steps — superblock runs reject machine-control instructions
-    /// and (with idle-exit armed) all-idle stretches at entry.
-    fn run_superblock(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
-        let mut remaining = max_cycles;
-        while remaining > 0 {
-            if self.sb_backoff == 0 {
-                let n = self.burst(remaining)?;
-                remaining -= n;
-                if remaining == 0 {
-                    return Ok(Exit::CycleLimit);
-                }
-            } else {
-                self.sb_backoff -= 1;
-            }
-            match self.step()? {
-                Status::Running => {}
-                Status::Halted => return Ok(Exit::Halted),
-                Status::Breakpoint { stream, pc } => return Ok(Exit::Breakpoint { stream, pc }),
-            }
-            remaining -= 1;
-            if self.idle_exit && self.all_idle() {
-                return Ok(Exit::AllIdle);
-            }
-        }
-        Ok(Exit::CycleLimit)
-    }
-
-    /// [`run`](Self::run) under [`StepMode::EventSkip`]: identical to the
-    /// cycle-by-cycle loop except that, whenever the machine is provably
-    /// quiescent (nothing can issue, execute or change state), time jumps
-    /// straight to the next wake event with one bulk counter update
-    /// instead of stepping through the stall cycles one by one. Under
-    /// [`DispatchMode::Superblock`] the non-quiescent stretches
-    /// additionally go through the superblock fast path; quiescence is
-    /// checked first so skips are never split into bursts.
+    /// The body of [`run`](Self::run). Quiescence is checked first, so a
+    /// skip is never split into bursts. A burst that covered any cycles
+    /// hands straight to one slow step: the machine itself ended it (or
+    /// the budget did, and the call returns), so an immediate re-probe
+    /// would only be rejected.
     ///
     /// All checks happen at the top of the loop, before the step, and all
     /// pacing state (probe backoff, budget-truncated skips and bursts)
     /// lives on the machine, so chunking a run into several `run` calls
     /// reaches the same state — counters included — as one big call.
-    fn run_event_skip(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
-        let superblock = self.config.dispatch_mode == DispatchMode::Superblock;
+    fn run_loop(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
         let mut remaining = max_cycles;
         while remaining > 0 {
             if self.quiescent() {
@@ -902,28 +874,36 @@ impl Machine {
                 }
             }
             self.skip_carry = false;
-            if superblock {
-                if self.sb_backoff == 0 {
-                    let n = self.burst(remaining)?;
-                    if n > 0 {
-                        remaining -= n;
-                        continue;
-                    }
-                } else {
-                    self.sb_backoff -= 1;
+            if self.sb_backoff == 0 {
+                let n = self.burst(remaining)?;
+                remaining -= n;
+                if remaining == 0 {
+                    return Ok(Exit::CycleLimit);
                 }
+            } else {
+                self.sb_backoff -= 1;
             }
-            match self.step()? {
-                Status::Running => {}
-                Status::Halted => return Ok(Exit::Halted),
-                Status::Breakpoint { stream, pc } => return Ok(Exit::Breakpoint { stream, pc }),
+            if let Some(exit) = self.slow_step()? {
+                return Ok(exit);
             }
             remaining -= 1;
-            if self.idle_exit && self.all_idle() {
-                return Ok(Exit::AllIdle);
-            }
         }
         Ok(Exit::CycleLimit)
+    }
+
+    /// One [`step`](Self::step) plus the exit checks both loops share:
+    /// `Some` when the run must end after this cycle.
+    #[inline]
+    fn slow_step(&mut self) -> Result<Option<Exit>, SimError> {
+        match self.step()? {
+            Status::Running => {}
+            Status::Halted => return Ok(Some(Exit::Halted)),
+            Status::Breakpoint { stream, pc } => return Ok(Some(Exit::Breakpoint { stream, pc })),
+        }
+        if self.idle_exit && self.all_idle() {
+            return Ok(Some(Exit::AllIdle));
+        }
+        Ok(None)
     }
 
     /// Probes and runs one superblock burst of at most `budget` cycles,
@@ -932,6 +912,10 @@ impl Machine {
     /// counted, no second burst counted), and the retry backoff is
     /// decided on the *total* burst length once the machine — not the
     /// budget — ends it.
+    ///
+    /// Kept out of line: inlined into the `run` loop together with
+    /// `step`, the compute-bound burst workload measured ~13 % slower.
+    #[inline(never)]
     fn burst(&mut self, budget: u64) -> Result<u64, SimError> {
         let resuming = self.sb_carry;
         self.sb_carry = false;
@@ -1096,8 +1080,8 @@ impl Machine {
     /// only burst-safe instructions in the pipe. A counters-only sink
     /// (`!wants_records`) does not pin bursts off: its
     /// [`next_observe`](crate::TraceSink::next_observe) boundary bounds
-    /// the run instead — the same contract [`StepMode::EventSkip`] uses —
-    /// so the boundary cycle itself is always stepped (and observed) by
+    /// the run instead — the same contract the event skip uses — so the
+    /// boundary cycle itself is always stepped (and observed) by
     /// the slow loop. Under those conditions a cycle can only
     /// change stream registers/flags/PCs, the pipe, the scoreboard and
     /// counters. Each cycle retires, executes and then replays the
@@ -1106,9 +1090,9 @@ impl Machine {
     /// *fetched* exactly as `step` would — fetching is pure bookkeeping —
     /// and ends the run before its execute stage can run, so the slow path
     /// owns all its effects. The run length is bounded by
-    /// [`DataBus::next_event`], the same wake contract
-    /// [`StepMode::EventSkip`] relies on, so no peripheral tick,
-    /// fault-plan window edge or interrupt lands inside a run.
+    /// [`DataBus::next_event`], the same wake contract the event skip
+    /// relies on, so no peripheral tick, fault-plan window edge or
+    /// interrupt lands inside a run.
     ///
     /// # Errors
     ///
@@ -1129,11 +1113,7 @@ impl Machine {
                 Some(t) => t.saturating_sub(self.cycle),
             },
         };
-        if self.halted
-            || self.legacy_decode
-            || sink_limit == 0
-            || self.abi.busy()
-            || self.scheduler.sequence().is_none()
+        if self.halted || sink_limit == 0 || self.abi.busy() || self.scheduler.sequence().is_none()
         {
             if !resuming {
                 self.sb_stats.entry_rejects += 1;
@@ -1192,25 +1172,8 @@ impl Machine {
         }
 
         let nstreams = self.streams.len();
-        // All streams parked awaiting a future bus event with nothing in
-        // flight: the whole bounded stretch is bubbles, accounted in bulk.
-        // (Reachable only with idle-exit disabled.)
-        if active_mask == 0 && self.live_slots == 0 {
-            for s in 0..nstreams {
-                self.stats.attribution.idle[s] += limit;
-            }
-            self.stats.bubbles += limit;
-            self.stats.cycles += limit;
-            self.cycle += limit;
-            self.scheduler.advance_idle(limit);
-            self.abi.advance(limit);
-            self.bus.advance(limit);
-            if !resuming {
-                self.sb_stats.bursts += 1;
-            }
-            self.sb_stats.burst_cycles += limit;
-            return Ok(limit);
-        }
+        // (A state with every stream parked and nothing in flight is
+        // quiescent, and `run` skips it before it ever probes a burst.)
 
         // -- per-cycle fast loop ------------------------------------------
         let depth = self.config.pipeline_depth;
@@ -2367,14 +2330,11 @@ impl Machine {
             streams,
             stats,
             ops,
-            program,
-            legacy_decode,
             fetch_probe,
             fetch_entry,
             attr_hazard,
             ..
         } = self;
-        let legacy = *legacy_decode;
         let picked = scheduler.pick_with(|s| match fetch_probe[s] {
             Probe::Ready => true,
             Probe::NotReady => false,
@@ -2383,14 +2343,9 @@ impl Machine {
                 let ready = if !st.active() || st.wait != WaitState::None || st.spill_stall > 0 {
                     false
                 } else {
-                    // Predecoded table on the hot path; live decode when
-                    // the legacy differential switch is on. Addresses past
-                    // the image are word 0 (`nop`), as predecoded.
-                    let entry = if legacy {
-                        predecode(program.word(st.pc))
-                    } else {
-                        ops.get(st.pc as usize).copied().unwrap_or(NOP_ENTRY)
-                    };
+                    // Addresses past the image are word 0 (`nop`), as
+                    // predecoded.
+                    let entry = ops.get(st.pc as usize).copied().unwrap_or(NOP_ENTRY);
                     if entry.kind == K_FAULT {
                         // Report ready so the fetch below raises the fault
                         // on the cycle the stream is actually picked.
@@ -2461,10 +2416,7 @@ impl Machine {
     /// The blob begins with a fingerprint of the machine configuration and
     /// a hash of the program image; [`restore`](Self::restore) refuses
     /// blobs taken under an incompatible configuration or a different
-    /// program. The fingerprint deliberately excludes
-    /// [`StepMode`]/[`DispatchMode`] — those knobs are timing-invisible,
-    /// so a snapshot taken under one mode restores under any other (the
-    /// basis of fork-per-mode differential fuzzing).
+    /// program.
     ///
     /// Snapshots capture state *between* cycles; call this only at a cycle
     /// boundary (never from inside a [`TraceSink`] callback).
@@ -2479,7 +2431,9 @@ impl Machine {
         w.put_bool(self.halted);
         w.put_u64(self.next_seq);
         w.put_bool(self.idle_exit);
-        w.put_bool(self.legacy_decode);
+        // Retired live-decode switch: kept in the layout so existing
+        // snapshots load unchanged.
+        w.put_bool(false);
         w.put_usize(self.globals.len());
         for &g in &self.globals {
             w.put_u16(g);
@@ -2547,8 +2501,8 @@ impl Machine {
     /// machine.
     ///
     /// The machine must have been constructed with a configuration whose
-    /// [`fingerprint`](MachineConfig::fingerprint) matches the snapshot's
-    /// (step/dispatch mode may differ), the same program, and a bus of the
+    /// [`fingerprint`](MachineConfig::fingerprint) matches the snapshot's,
+    /// the same program, and a bus of the
     /// same kind and construction — trait objects cannot be rebuilt from
     /// bytes, so restore *applies* serialized state to an
     /// identically-assembled machine rather than conjuring one.
@@ -2583,7 +2537,7 @@ impl Machine {
         self.halted = r.get_bool()?;
         self.next_seq = r.get_u64()?;
         self.idle_exit = r.get_bool()?;
-        self.legacy_decode = r.get_bool()?;
+        let _retired_live_decode = r.get_bool()?;
         let nglobals = r.get_usize()?;
         if nglobals != self.globals.len() {
             return Err(SnapError::Corrupt(format!(
@@ -2629,11 +2583,7 @@ impl Machine {
             }
             let pc = r.get_u16()?;
             let seq = r.get_u64()?;
-            let entry = if self.legacy_decode {
-                predecode(self.program.word(pc))
-            } else {
-                self.ops.get(pc as usize).copied().unwrap_or(NOP_ENTRY)
-            };
+            let entry = self.ops.get(pc as usize).copied().unwrap_or(NOP_ENTRY);
             if entry.kind == K_FAULT {
                 // Undecodable words fault at fetch and never enter the
                 // pipe, so a snapshot can only claim one through
@@ -2695,17 +2645,17 @@ impl Machine {
     }
 
     /// Clones this machine's state into a fresh machine built with
-    /// `config` and `bus` — the general fork: `config` may differ in
-    /// step/dispatch mode (anything else fails the fingerprint check in
-    /// [`restore`](Self::restore)), and `bus` must be constructed
-    /// identically to this machine's bus so its serialized state applies.
+    /// `config` and `bus` — the general fork: `config` must fingerprint
+    /// like this machine's (checked by [`restore`](Self::restore)), and
+    /// `bus` must be constructed identically to this machine's bus so its
+    /// serialized state applies.
     ///
     /// The fork shares no state with the original and carries no trace
     /// sink.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] when `config` is timing-incompatible or `bus`
+    /// Returns [`SnapError`] when `config` fingerprints differently or `bus`
     /// is of a different kind/construction than this machine's.
     pub fn fork_with(
         &self,

@@ -289,12 +289,13 @@ impl CycleAttribution {
     }
 }
 
-/// Counters describing how much time [`StepMode::EventSkip`]
-/// (crate::StepMode) fast-forwarded.
+/// Counters describing how much time the event skip of
+/// [`Machine::run`](crate::Machine::run) fast-forwarded.
 ///
 /// Kept separate from [`MachineStats`] on purpose: the architectural
-/// statistics must compare equal between step modes, while skip counters
-/// are zero in cycle-by-cycle mode by construction.
+/// statistics must compare equal to the per-cycle
+/// [`Machine::run_reference`](crate::Machine::run_reference), while skip
+/// counters are zero there by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SkipStats {
     /// Number of fast-forward jumps performed.
@@ -315,14 +316,12 @@ impl SkipStats {
     }
 }
 
-/// Counters describing how much work the superblock dispatcher
-/// ([`DispatchMode::Superblock`](crate::DispatchMode)) ran through its
-/// cached fast path.
+/// Counters describing how much work [`Machine::run`](crate::Machine::run)
+/// ran through its superblock-burst fast path.
 ///
 /// Kept separate from [`MachineStats`] on purpose, like [`SkipStats`]: the
-/// architectural statistics must compare equal between dispatch modes,
-/// while these counters are zero under the legacy dispatcher by
-/// construction.
+/// architectural statistics must compare equal to the per-cycle
+/// reference, while these counters are zero there by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperblockStats {
     /// Superblock runs entered (a run covers at least one cycle).

@@ -158,9 +158,9 @@ pub trait TraceSink: Send + 'static {
     /// [`observe_stats`](TraceSink::observe_stats)), or `None` when the
     /// sink never needs another observation.
     ///
-    /// [`StepMode::EventSkip`](crate::StepMode) consults this before
-    /// fast-forwarding: cycles strictly before the returned value may be
-    /// skipped without calling the sink for them. The default, `Some(now)`,
+    /// The event skip of [`Machine::run`](crate::Machine::run) consults
+    /// this before fast-forwarding: cycles strictly before the returned
+    /// value may be skipped without calling the sink for them. The default, `Some(now)`,
     /// declares that every cycle must be observed and therefore pins
     /// skipping off entirely — which is what full-record sinks (including
     /// the ring-buffer [`Trace`]) require for byte-identical output.

@@ -1,12 +1,11 @@
-//! Equivalence of the predecoded instruction store against legacy
-//! per-cycle decoding.
+//! The predecoded instruction store on a mixed hot-path workload.
 //!
 //! The machine decodes the whole program once at load time and fetches
-//! from the predecoded store; `set_legacy_decode(true)` switches a
-//! machine back to decoding each word from program memory on every
-//! fetch, exactly as the seed implementation did. Both paths must be
-//! cycle-for-cycle identical: same trace records, same statistics, same
-//! decode-fault reporting.
+//! from the predecoded store. `run` (with its event-skip and superblock
+//! fast paths) must stay cycle-for-cycle identical to single `step`s and
+//! to the per-cycle `run_reference`: same trace records, same statistics,
+//! same decode-fault reporting. The disc-ref differential fuzzer and the
+//! golden snapshot pin the decoder itself against an independent model.
 
 use disc_core::{Exit, Machine, MachineConfig, SimError};
 use disc_isa::Program;
@@ -57,53 +56,57 @@ isr:
 fn mixed_pair() -> (Machine, Machine) {
     let program = Program::assemble(MIXED_SRC).expect("mixed program assembles");
     let fast = Machine::new(MachineConfig::disc1(), &program);
-    let mut legacy = Machine::new(MachineConfig::disc1(), &program);
-    legacy.set_legacy_decode(true);
-    (fast, legacy)
+    let reference = Machine::new(MachineConfig::disc1(), &program);
+    (fast, reference)
 }
 
 #[test]
-fn predecode_and_legacy_produce_identical_traces_and_stats() {
-    let (mut fast, mut legacy) = mixed_pair();
+fn run_and_single_steps_produce_identical_traces_and_stats() {
+    let (mut fast, mut stepped) = mixed_pair();
     const CYCLES: u64 = 2_000;
-    for m in [&mut fast, &mut legacy] {
+    for m in [&mut fast, &mut stepped] {
         m.set_idle_exit(false);
         m.trace_start(CYCLES as usize);
     }
-    for c in 0..CYCLES {
+    for c in (0..CYCLES).step_by(97) {
         // Periodic interrupts so vector entry, handler flushes and
         // latency accounting are exercised on both machines.
-        if c % 97 == 0 {
-            fast.raise_interrupt(3, 5);
-            legacy.raise_interrupt(3, 5);
+        fast.raise_interrupt(3, 5);
+        stepped.raise_interrupt(3, 5);
+        let n = 97.min(CYCLES - c);
+        assert_eq!(fast.run(n).expect("run"), Exit::CycleLimit);
+        for _ in 0..n {
+            stepped.step().expect("step");
         }
-        fast.step().expect("predecoded step");
-        legacy.step().expect("legacy step");
     }
-    let t_fast = fast.trace_take().expect("fast trace");
-    let t_legacy = legacy.trace_take().expect("legacy trace");
+    let t_fast = fast.trace_take().expect("run trace");
+    let t_stepped = stepped.trace_take().expect("step trace");
     assert_eq!(t_fast.records().len(), CYCLES as usize);
-    for (a, b) in t_fast.records().iter().zip(t_legacy.records()) {
+    for (a, b) in t_fast.records().iter().zip(t_stepped.records()) {
         assert_eq!(a, b, "trace diverged at cycle {}", a.cycle);
     }
-    assert_eq!(fast.stats(), legacy.stats());
+    assert_eq!(fast.stats(), stepped.stats());
     assert!(fast.stats().vectors_taken[3] > 0, "interrupts were taken");
     assert!(fast.stats().external_accesses > 0, "bus was exercised");
     assert_eq!(
         fast.scheduler_reallocations(),
-        legacy.scheduler_reallocations()
+        stepped.scheduler_reallocations()
     );
 }
 
 #[test]
-fn predecode_and_legacy_agree_on_final_memory() {
-    let (mut fast, mut legacy) = mixed_pair();
+fn run_and_reference_agree_on_final_memory() {
+    let (mut fast, mut reference) = mixed_pair();
     assert_eq!(fast.run(50_000).expect("fast run"), Exit::CycleLimit);
-    assert_eq!(legacy.run(50_000).expect("legacy run"), Exit::CycleLimit);
+    assert_eq!(
+        reference.run_reference(50_000).expect("reference run"),
+        Exit::CycleLimit
+    );
+    assert_eq!(fast.stats(), reference.stats());
     for addr in [0x40u16, 0x41] {
         assert_eq!(
             fast.internal_memory().read(addr),
-            legacy.internal_memory().read(addr),
+            reference.internal_memory().read(addr),
             "memory diverged at {addr:#x}"
         );
     }
@@ -146,14 +149,13 @@ fn unreached_bad_word_never_faults() {
     assert_eq!(m.internal_memory().read(0x40), 7);
 }
 
-/// Legacy decoding reports the identical fault.
+/// The per-cycle reference loop reports the identical fault.
 #[test]
-fn legacy_decode_fault_matches() {
+fn reference_decode_fault_matches() {
     let mut program = Program::assemble(".stream 0, m\nm: nop\n").unwrap();
     program.set_word(1, 63 << 18);
     let mut m = Machine::new(MachineConfig::disc1(), &program);
-    m.set_legacy_decode(true);
-    match m.run(100).unwrap_err() {
+    match m.run_reference(100).unwrap_err() {
         SimError::Decode { stream, pc, word } => {
             assert_eq!((stream, pc, word), (0, 1, 63 << 18));
         }

@@ -4,9 +4,7 @@
 //! restore must refuse blobs from an incompatible configuration or a
 //! different program.
 
-use disc_core::{
-    DispatchMode, Exit, Machine, MachineConfig, SimError, SnapError, StepMode, TraceSink,
-};
+use disc_core::{Exit, Machine, MachineConfig, SimError, SnapError, TraceSink};
 use disc_isa::Program;
 
 fn busy_program() -> Program {
@@ -99,7 +97,7 @@ fn restore_roundtrips_identity() {
 }
 
 #[test]
-fn fork_across_step_and_dispatch_modes() {
+fn fork_with_matches_under_run_and_reference() {
     let program = busy_program();
     let mut base = Machine::new(MachineConfig::disc1(), &program);
     warm_up(&mut base, 40);
@@ -108,20 +106,19 @@ fn fork_across_step_and_dispatch_modes() {
 
     let mut warm = Machine::new(MachineConfig::disc1(), &program);
     warm_up(&mut warm, 40);
-    for (step, dispatch) in [
-        (StepMode::CycleByCycle, DispatchMode::Legacy),
-        (StepMode::EventSkip, DispatchMode::Superblock),
-        (StepMode::EventSkip, DispatchMode::Legacy),
-    ] {
-        let mut config = MachineConfig::disc1();
-        config.step_mode = step;
-        config.dispatch_mode = dispatch;
+    for per_cycle in [false, true] {
+        let config = MachineConfig::disc1();
         let latency = config.default_ext_latency;
         let bus = Box::new(disc_core::FlatBus::new(latency));
-        let mut fork = warm.fork_with(config, bus).expect("cross-mode fork");
-        let exit = fork.run(500).expect("fork tail");
-        assert_eq!(exit, base_exit, "{step:?}/{dispatch:?}");
-        assert_eq!(machine_digest(&fork), reference, "{step:?}/{dispatch:?}");
+        let mut fork = warm.fork_with(config, bus).expect("fork onto a fresh bus");
+        let exit = if per_cycle {
+            fork.run_reference(500)
+        } else {
+            fork.run(500)
+        }
+        .expect("fork tail");
+        assert_eq!(exit, base_exit, "per_cycle={per_cycle}");
+        assert_eq!(machine_digest(&fork), reference, "per_cycle={per_cycle}");
     }
 }
 
@@ -195,8 +192,7 @@ fn trace_sink_relatches_after_restore() {
     let program = busy_program();
 
     // Uninterrupted reference: one sink over the whole run.
-    let mut config = MachineConfig::disc1();
-    config.step_mode = StepMode::EventSkip;
+    let config = MachineConfig::disc1();
     let mut base = Machine::new(config.clone(), &program);
     base.set_trace_sink(Box::new(Recorder::default()));
     warm_up(&mut base, 40);

@@ -32,8 +32,8 @@ pub mod sink;
 
 pub use json::Json;
 pub use report::{
-    attribution_json, config_fingerprint, config_json, scheduler_json, stats_json, step_mode_name,
-    timing_json, RunReport, RUN_REPORT_SCHEMA,
+    attribution_json, config_fingerprint, config_json, scheduler_json, stats_json, timing_json,
+    RunReport, RUN_REPORT_SCHEMA,
 };
 pub use sink::{
     cycle_json, event_json, render_sample_into, sample_json, JsonlSink, SamplingSink, StatsSample,

@@ -14,31 +14,30 @@ use std::path::{Path, PathBuf};
 
 use disc_core::{
     BusFaultPolicy, CycleAttribution, Machine, MachineConfig, MachineStats, SchedulePolicy,
-    SkipStats, StepMode, WindowPolicy, ATTRIBUTION_BUCKETS,
+    WindowPolicy, ATTRIBUTION_BUCKETS,
 };
 
 use crate::json::Json;
 
 /// Schema identifier stamped into every report.
 ///
-/// `v2` extends `v1` with an optional `timing` section (step mode,
+/// `v2` extends `v1` with an optional `timing` section (then: step mode,
 /// wall-clock simulation throughput, event-skip statistics). `v3`
 /// extends `v2` with an optional `resume` section (checkpoint journal
-/// accounting for crash-resumed campaigns). Every earlier field is
-/// still present with the same shape, so readers that ignore unknown
-/// sections keep working.
-pub const RUN_REPORT_SCHEMA: &str = "disc-run-report/v3";
+/// accounting for crash-resumed campaigns). `v4` shrinks `timing` to
+/// `sim_cycles_per_sec` alone: every run now takes event skips, and how
+/// a sink's window edges split them says nothing about the simulated
+/// machine, so skip counters moved out of the report (they stay in the
+/// session server's `dispatch` diagnostics). Every other section keeps
+/// its shape.
+pub const RUN_REPORT_SCHEMA: &str = "disc-run-report/v4";
 
 /// Deterministic 64-bit fingerprint of a machine configuration, rendered
 /// as 16 hex digits. Delegates to [`MachineConfig::fingerprint`] — the
 /// same value that pins `disc-snap/v1` machine snapshots to a compatible
 /// configuration. Every field (including the full schedule contents)
 /// folds into the hash, so two configs fingerprint equal iff they
-/// simulate identically. [`MachineConfig::step_mode`] and
-/// [`MachineConfig::dispatch_mode`] are deliberately *excluded*: they
-/// change how fast the simulator walks the cycle count, never the
-/// architectural outcome, so runs under any step/dispatch combination
-/// must fingerprint (and therefore compare) equal.
+/// simulate identically.
 pub fn config_fingerprint(config: &MachineConfig) -> String {
     format!("{:016x}", config.fingerprint())
 }
@@ -162,31 +161,14 @@ pub fn stats_json(stats: &MachineStats) -> Json {
     ])
 }
 
-/// The canonical report string for a [`StepMode`].
-pub fn step_mode_name(mode: StepMode) -> &'static str {
-    match mode {
-        StepMode::CycleByCycle => "cycle-by-cycle",
-        StepMode::EventSkip => "event-skip",
-    }
-}
-
-/// Renders the v2 `timing` section: step mode, wall-clock simulation
-/// throughput, and event-skip statistics.
-///
-/// `sim_cycles_per_sec` is simulated cycles divided by wall-clock
-/// seconds (pass `None` when the caller did not time the run);
-/// `mean_skip` is null unless at least one skip happened.
-pub fn timing_json(mode: StepMode, sim_cycles_per_sec: Option<f64>, skip: &SkipStats) -> Json {
-    Json::obj([
-        ("step_mode", Json::str(step_mode_name(mode))),
-        (
-            "sim_cycles_per_sec",
-            sim_cycles_per_sec.map_or(Json::Null, Json::F64),
-        ),
-        ("skips", Json::U64(skip.skips)),
-        ("cycles_skipped", Json::U64(skip.cycles_skipped)),
-        ("mean_skip", skip.mean_skip().map_or(Json::Null, Json::F64)),
-    ])
+/// Renders the v4 `timing` section: wall-clock simulation throughput,
+/// simulated cycles divided by wall-clock seconds (pass `None` when the
+/// caller did not time the run).
+pub fn timing_json(sim_cycles_per_sec: Option<f64>) -> Json {
+    Json::obj([(
+        "sim_cycles_per_sec",
+        sim_cycles_per_sec.map_or(Json::Null, Json::F64),
+    )])
 }
 
 /// Scheduler grant/reallocation shares as JSON.
@@ -246,14 +228,9 @@ impl RunReport {
         self.section("scheduler", scheduler_json(granted, reallocations))
     }
 
-    /// Appends the v2 `timing` section (step mode, throughput, skips).
-    pub fn with_timing(
-        self,
-        mode: StepMode,
-        sim_cycles_per_sec: Option<f64>,
-        skip: &SkipStats,
-    ) -> Self {
-        self.section("timing", timing_json(mode, sim_cycles_per_sec, skip))
+    /// Appends the v4 `timing` section (throughput).
+    pub fn with_timing(self, sim_cycles_per_sec: Option<f64>) -> Self {
+        self.section("timing", timing_json(sim_cycles_per_sec))
     }
 
     /// Appends the v3 `resume` section: how a crash-resumable campaign's
@@ -270,9 +247,8 @@ impl RunReport {
         )
     }
 
-    /// Captures config, stats, scheduler shares, and timing (step mode
-    /// plus skip statistics; throughput null) straight off a finished
-    /// machine.
+    /// Captures config, stats, scheduler shares, and timing (throughput
+    /// null) straight off a finished machine.
     pub fn from_machine(tool: &str, machine: &Machine) -> Self {
         Self::from_machine_timed(tool, machine, None)
     }
@@ -291,7 +267,7 @@ impl RunReport {
                 machine.scheduler_grants(),
                 machine.scheduler_reallocations(),
             )
-            .with_timing(machine.config().step_mode, throughput, machine.skip_stats())
+            .with_timing(throughput)
     }
 
     /// The report as a JSON value.
@@ -346,49 +322,28 @@ mod tests {
             .with_config(&MachineConfig::disc1())
             .with_stats(&stats)
             .with_scheduler(&[3, 1], 0)
-            .with_timing(StepMode::CycleByCycle, Some(1.5e6), &SkipStats::default())
+            .with_timing(Some(1.5e6))
             .with_resume(3, 7, "results/ckpt/soak.journal")
             .section("extra", Json::U64(7));
         let text = report.render();
-        assert!(text.contains("\"schema\": \"disc-run-report/v3\""));
+        assert!(text.contains("\"schema\": \"disc-run-report/v4\""));
         assert!(text.contains("\"shards_loaded\": 3"));
         assert!(text.contains("\"shards_executed\": 7"));
         assert!(text.contains("\"tool\": \"unit-test\""));
         assert!(text.contains("\"fingerprint\""));
         assert!(text.contains("\"attribution\""));
         assert!(text.contains("\"grant_share\""));
-        assert!(text.contains("\"step_mode\": \"cycle-by-cycle\""));
         assert!(text.contains("\"sim_cycles_per_sec\": 1500000.0"));
         assert!(text.contains("\"extra\": 7"));
     }
 
     #[test]
-    fn fingerprint_ignores_step_mode() {
-        let cycle = MachineConfig::disc1().with_step_mode(StepMode::CycleByCycle);
-        let skip = MachineConfig::disc1().with_step_mode(StepMode::EventSkip);
-        assert_eq!(config_fingerprint(&cycle), config_fingerprint(&skip));
-    }
-
-    #[test]
-    fn fingerprint_ignores_dispatch_mode() {
-        use disc_core::DispatchMode;
-        let legacy = MachineConfig::disc1().with_dispatch_mode(DispatchMode::Legacy);
-        let burst = MachineConfig::disc1().with_dispatch_mode(DispatchMode::Superblock);
-        assert_eq!(config_fingerprint(&legacy), config_fingerprint(&burst));
-    }
-
-    #[test]
-    fn timing_json_reports_skip_stats() {
-        let skip = SkipStats {
-            skips: 4,
-            cycles_skipped: 100,
-        };
-        let text = timing_json(StepMode::EventSkip, None, &skip).render();
-        assert!(text.contains("\"step_mode\":\"event-skip\""));
-        assert!(text.contains("\"sim_cycles_per_sec\":null"));
-        assert!(text.contains("\"skips\":4"));
-        assert!(text.contains("\"cycles_skipped\":100"));
-        assert!(text.contains("\"mean_skip\":25.0"));
+    fn timing_json_holds_throughput_only() {
+        assert_eq!(timing_json(None).render(), r#"{"sim_cycles_per_sec":null}"#);
+        assert_eq!(
+            timing_json(Some(2.0)).render(),
+            r#"{"sim_cycles_per_sec":2.0}"#
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! config is a pure function), so a failing seed from CI is a one-line
 //! local repro.
 
-use disc_core::{BusFaultPolicy, MachineConfig, SimError, SkipStats, StepMode};
+use disc_core::{BusFaultPolicy, MachineConfig, SimError};
 use disc_faults::{AddrRange, FaultInjector, FaultLog, FaultPlan, FaultWindow};
 use disc_obs::{stats_json, Json, RunReport};
 use disc_par::{Journal, ResumeStats};
@@ -51,11 +51,6 @@ pub struct SoakConfig {
     /// Allowed growth of the worst observed interrupt latency over the
     /// reference, beyond one ABI timeout.
     pub irq_latency_slack: u64,
-    /// Stepping mode every machine in the campaign (runs and reference)
-    /// is configured with. The harness drives soak machines cycle by
-    /// cycle, so either mode must produce the identical campaign — a
-    /// property the equivalence tests assert.
-    pub step_mode: StepMode,
 }
 
 impl Default for SoakConfig {
@@ -68,7 +63,6 @@ impl Default for SoakConfig {
             tolerance: 0.4,
             miss_slack: 2,
             irq_latency_slack: 128,
-            step_mode: StepMode::CycleByCycle,
         }
     }
 }
@@ -79,7 +73,6 @@ impl SoakConfig {
         MachineConfig::disc1()
             .with_bus_fault(BusFaultPolicy::Fault)
             .with_abi_timeout(self.abi_timeout)
-            .with_step_mode(self.step_mode)
     }
 }
 
@@ -111,9 +104,6 @@ pub struct SoakRun {
     pub abi_timeouts: u64,
     /// Cycles the run simulated (zero when the simulator faulted).
     pub cycles: u64,
-    /// Event-skip accounting for the run (all zero in cycle-by-cycle
-    /// mode).
-    pub skip_stats: SkipStats,
 }
 
 impl SoakRun {
@@ -164,8 +154,6 @@ impl SoakRun {
         w.put_u64(self.bus_faults);
         w.put_u64(self.abi_timeouts);
         w.put_u64(self.cycles);
-        w.put_u64(self.skip_stats.skips);
-        w.put_u64(self.skip_stats.cycles_skipped);
         w.into_bytes()
     }
 
@@ -219,10 +207,6 @@ impl SoakRun {
             bus_faults: r.get_u64()?,
             abi_timeouts: r.get_u64()?,
             cycles: r.get_u64()?,
-            skip_stats: SkipStats {
-                skips: r.get_u64()?,
-                cycles_skipped: r.get_u64()?,
-            },
         };
         r.finish()?;
         Ok(run)
@@ -265,17 +249,6 @@ impl SoakReport {
         self.reference.cycles + self.runs.iter().map(|r| r.cycles).sum::<u64>()
     }
 
-    /// Event-skip accounting aggregated over the reference run and every
-    /// seeded fault run.
-    pub fn total_skip_stats(&self) -> SkipStats {
-        let mut total = self.reference.skip_stats;
-        for run in &self.runs {
-            total.skips += run.skip_stats.skips;
-            total.cycles_skipped += run.skip_stats.cycles_skipped;
-        }
-        total
-    }
-
     /// [`SoakReport::run_report`] with the measured wall-clock seconds
     /// the campaign took, from which the timing section's
     /// `sim_cycles_per_sec` (total campaign cycles over wall time) is
@@ -284,8 +257,7 @@ impl SoakReport {
         let throughput = wall_secs
             .filter(|&s| s > 0.0)
             .map(|s| self.total_cycles() as f64 / s);
-        self.run_report(cfg)
-            .with_timing(cfg.step_mode, throughput, &self.total_skip_stats())
+        self.run_report(cfg).with_timing(throughput)
     }
 
     /// Builds the campaign's schema-versioned [`RunReport`]: campaign
@@ -575,7 +547,6 @@ pub fn run_one(cfg: &SoakConfig, set: &TaskSet, seed: u64, reference: &SimOutcom
             bus_faults: 0,
             abi_timeouts: 0,
             cycles: 0,
-            skip_stats: SkipStats::default(),
         },
         Ok(outcome) => {
             let violations = check_invariants(cfg, set, victim, reference, &outcome, &fault_log);
@@ -591,7 +562,6 @@ pub fn run_one(cfg: &SoakConfig, set: &TaskSet, seed: u64, reference: &SimOutcom
                 bus_faults: outcome.stats.bus_faults_total(),
                 abi_timeouts: outcome.stats.abi_timeouts,
                 cycles: outcome.stats.cycles,
-                skip_stats: outcome.skip_stats,
             }
         }
     }
@@ -622,8 +592,7 @@ pub fn run_campaign(cfg: &SoakConfig) -> SoakReport {
 }
 
 /// Fingerprint identifying a campaign for checkpoint journals: every
-/// [`SoakConfig`] field (including the step mode, whose skip accounting
-/// lands in each [`SoakRun`]) plus the machine-config fingerprint, so a
+/// [`SoakConfig`] field plus the machine-config fingerprint, so a
 /// journal can never resume into a campaign it was not recorded under.
 pub fn campaign_fingerprint(cfg: &SoakConfig) -> u64 {
     let machine = cfg
@@ -636,12 +605,6 @@ pub fn campaign_fingerprint(cfg: &SoakConfig) -> u64 {
     h = splitmix64(h ^ cfg.tolerance.to_bits());
     h = splitmix64(h ^ cfg.miss_slack);
     h = splitmix64(h ^ cfg.irq_latency_slack);
-    h = splitmix64(
-        h ^ match cfg.step_mode {
-            StepMode::CycleByCycle => 0,
-            StepMode::EventSkip => 1,
-        },
-    );
     splitmix64(h ^ machine.fingerprint())
 }
 
@@ -707,7 +670,7 @@ mod tests {
         let cfg = quick_cfg(2);
         let report = run_campaign(&cfg);
         let text = report.run_report(&cfg).render();
-        assert!(text.contains("\"schema\": \"disc-run-report/v3\""));
+        assert!(text.contains("\"schema\": \"disc-run-report/v4\""));
         assert!(text.contains("\"tool\": \"soak\""));
         assert!(text.contains("\"faults_delivered\""));
         assert!(text.contains("\"inflated_probes\""));
@@ -756,10 +719,6 @@ mod tests {
             bus_faults: 7,
             abi_timeouts: 8,
             cycles: 20_000,
-            skip_stats: SkipStats {
-                skips: 9,
-                cycles_skipped: 1_000,
-            },
         };
         let verdicts = [
             RunVerdict::Clean,
@@ -834,7 +793,7 @@ mod tests {
                 ..cfg.clone()
             },
             SoakConfig {
-                step_mode: StepMode::EventSkip,
+                abi_timeout: cfg.abi_timeout + 1,
                 ..cfg.clone()
             },
             SoakConfig {

@@ -27,7 +27,7 @@
 //! | `close`    | `session`                                    | discard the session entirely |
 //! | `shutdown` | —                                            | stop accepting; drain and exit |
 
-use disc_core::{DispatchMode, MachineConfig, StepMode};
+use disc_core::MachineConfig;
 use disc_obs::Json;
 
 /// Protocol identifier sent in the `hello` event and checked by clients.
@@ -230,14 +230,20 @@ impl Request {
 
 /// Builds a [`MachineConfig`] from the optional `config` operand:
 /// [`MachineConfig::disc1`] defaults with any of `streams`,
-/// `pipeline_depth`, `window_depth`, `default_ext_latency`,
-/// `step_mode` (`"cycle"`/`"event-skip"`) and `dispatch_mode`
-/// (`"superblock"`/`"legacy"`) overridden.
+/// `pipeline_depth`, `window_depth` and `default_ext_latency`
+/// overridden.
+///
+/// `step_mode` (`"cycle"`/`"cycle-by-cycle"`/`"event-skip"`) and
+/// `dispatch_mode` (`"superblock"`/`"legacy"`) are **deprecated** within
+/// `disc-serve/v1`: every session now runs one engine with event skips
+/// and superblock bursts always on, which is byte-identical in every
+/// reported outcome. The keys are still accepted and their values still
+/// checked, but they change nothing.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending field on ill-typed overrides
-/// or unknown mode names.
+/// Returns a message naming the offending field on ill-typed or
+/// out-of-range overrides or unknown mode names.
 pub fn config_from_json(json: Option<&Json>) -> Result<MachineConfig, String> {
     let mut config = MachineConfig::disc1();
     let Some(json) = json else {
@@ -259,23 +265,24 @@ pub fn config_from_json(json: Option<&Json>) -> Result<MachineConfig, String> {
         let n = v
             .as_u64()
             .ok_or("config.default_ext_latency must be a number")?;
+        if n > u64::from(disc_board::MAX_LATENCY) {
+            return Err(format!(
+                "config.default_ext_latency must be at most {}, got {n}",
+                disc_board::MAX_LATENCY
+            ));
+        }
         config = config.with_default_ext_latency(n as u32);
     }
+    // Deprecated, accepted for compatibility and otherwise ignored.
     if let Some(v) = json.get("step_mode") {
-        let mode = match v.as_str() {
-            Some("cycle") | Some("cycle-by-cycle") => StepMode::CycleByCycle,
-            Some("event-skip") => StepMode::EventSkip,
-            _ => return Err("config.step_mode must be \"cycle\" or \"event-skip\"".into()),
-        };
-        config = config.with_step_mode(mode);
+        if !matches!(v.as_str(), Some("cycle" | "cycle-by-cycle" | "event-skip")) {
+            return Err("config.step_mode must be \"cycle\" or \"event-skip\"".into());
+        }
     }
     if let Some(v) = json.get("dispatch_mode") {
-        let mode = match v.as_str() {
-            Some("superblock") => DispatchMode::Superblock,
-            Some("legacy") => DispatchMode::Legacy,
-            _ => return Err("config.dispatch_mode must be \"superblock\" or \"legacy\"".into()),
-        };
-        config = config.with_dispatch_mode(mode);
+        if !matches!(v.as_str(), Some("superblock" | "legacy")) {
+            return Err("config.dispatch_mode must be \"superblock\" or \"legacy\"".into());
+        }
     }
     // `MachineConfig::validate` panics (it guards `Machine::new` against
     // programmer error); a *client* supplied this config, so range-check
@@ -432,8 +439,9 @@ mod tests {
         let c = config_from_json(Some(&json)).unwrap();
         assert_eq!(c.streams, 4);
         assert_eq!(c.pipeline_depth, 5);
-        assert_eq!(c.step_mode, StepMode::EventSkip);
-        assert_eq!(c.dispatch_mode, DispatchMode::Legacy);
+        // The deprecated mode keys are accepted and change nothing.
+        let plain = Json::parse(r#"{"streams":4,"pipeline_depth":5}"#).unwrap();
+        assert_eq!(c, config_from_json(Some(&plain)).unwrap());
         // No config at all is the DISC1 default.
         let d = config_from_json(None).unwrap();
         assert_eq!(d.fingerprint(), MachineConfig::disc1().fingerprint());
@@ -457,6 +465,32 @@ mod tests {
         )
         .unwrap_err()
         .contains("step_mode"));
+        assert!(Request::parse(
+            r#"{"id":1,"verb":"create","config":{"dispatch_mode":"fast"},"program":"halt"}"#
+        )
+        .unwrap_err()
+        .contains("dispatch_mode"));
+        // 2^32 must not wrap to latency 0; the bound is the board grammar's.
+        for n in [4_294_967_296u64, u64::from(disc_board::MAX_LATENCY) + 1] {
+            let line = format!(
+                r#"{{"id":1,"verb":"create","config":{{"default_ext_latency":{n}}},"program":"halt"}}"#
+            );
+            assert!(
+                Request::parse(&line)
+                    .unwrap_err()
+                    .contains("default_ext_latency must be at most"),
+                "{n}"
+            );
+        }
+        let max = Json::parse(&format!(
+            r#"{{"default_ext_latency":{}}}"#,
+            disc_board::MAX_LATENCY
+        ))
+        .unwrap();
+        assert_eq!(
+            config_from_json(Some(&max)).unwrap().default_ext_latency,
+            disc_board::MAX_LATENCY
+        );
     }
 
     #[test]

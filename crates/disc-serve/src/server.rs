@@ -363,23 +363,29 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        // Recover the request id before parsing operands, so an operand
+        // Parse once and take the id before the operands, so an operand
         // error still nacks against the right id instead of degrading to
         // an uncorrelated error event.
-        let id = Json::parse(&line)
-            .ok()
-            .and_then(|j| j.get("id").and_then(Json::as_u64));
-        let request = match Request::parse(&line) {
-            Ok(r) => r,
-            Err(msg) => {
-                match id {
-                    Some(id) => send(&writer, &nack(id, &msg)),
-                    // Not even an id to correlate with: error event.
-                    None => send(
-                        &writer,
-                        &Json::obj([("event", Json::str("error")), ("error", Json::str(msg))]),
-                    ),
+        let parsed = Json::parse(&line)
+            .map_err(|e| format!("bad json: {e}"))
+            .and_then(|json| match json.get("id").and_then(Json::as_u64) {
+                Some(id) => Ok((id, json)),
+                None => Err("missing numeric \"id\"".to_string()),
+            });
+        let request = match parsed {
+            Ok((id, json)) => match Request::from_json(id, &json) {
+                Ok(r) => r,
+                Err(msg) => {
+                    send(&writer, &nack(id, &msg));
+                    continue;
                 }
+            },
+            Err(msg) => {
+                // Not even an id to correlate with: error event.
+                send(
+                    &writer,
+                    &Json::obj([("event", Json::str("error")), ("error", Json::str(msg))]),
+                );
                 continue;
             }
         };

@@ -105,7 +105,7 @@ fn session_lifecycle_and_streamed_report() {
     let report = done.get("report").expect("report embedded in done");
     assert_eq!(
         report.get("schema").and_then(Json::as_str),
-        Some("disc-run-report/v3")
+        Some("disc-run-report/v4")
     );
     assert_eq!(
         report.get("tool").and_then(Json::as_str),

@@ -3,7 +3,7 @@
 #
 # Boots the real `disc_served` binary on an ephemeral port, drives
 # sessions through the `bench_serve` load-generator client (which holds
-# every streamed `done` report to the disc-run-report/v3 schema), then
+# every streamed `done` report to the disc-run-report/v4 schema), then
 # replays one raw-protocol transcript over a plain socket — hello,
 # create, run, streamed samples, done, stat, close, shutdown — and
 # validates the wire grammar and the streamed report independently of
@@ -103,7 +103,8 @@ assert samples[-1]["data"]["cycle"] == done["cycles"] - 1, \
     (samples[-1], done["cycles"])
 
 report = done["report"]
-assert report["schema"] == "disc-run-report/v3", report["schema"]
+assert report["schema"] == "disc-run-report/v4", report["schema"]
+assert set(report["timing"]) == {"sim_cycles_per_sec"}, report["timing"]
 assert report["tool"] == "disc-serve", report["tool"]
 assert report["stats"]["cycles"] == done["cycles"], report["stats"]
 assert len(report["config"]["fingerprint"]) == 16, report["config"]
